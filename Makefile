@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check vet build test race bench bench-json bench-smoke bench-compare bench-compare-smoke bce-check metrics-smoke serve-smoke trace-overhead bench-serve bench-fastlane trace clean
+.PHONY: check vet build test race bench bench-json bench-smoke bench-compare bench-compare-smoke bce-check metrics-smoke serve-smoke trace-overhead bench-serve bench-fastlane golden-check fuzz-smoke trace clean
 
-check: vet build race bce-check bench-smoke bench-compare-smoke metrics-smoke serve-smoke trace-overhead
+check: vet build race bce-check golden-check fuzz-smoke bench-smoke bench-compare-smoke metrics-smoke serve-smoke trace-overhead
 
 vet:
 	$(GO) vet ./...
@@ -25,7 +25,7 @@ bench:
 	$(GO) test -bench BenchmarkGamma -benchtime 1x -run '^$$' .
 
 # Machine-readable throughput baseline (BENCH_8.json at the repo root):
-# engine MB/s and ns/value for Config1-4 on both compute paths, plus the
+# engine MB/s and ns/value for Config1-4 on both execution paths, plus the
 # transport, parallel-scheduler and telemetry ablations.
 bench-json:
 	sh scripts/bench_json.sh
@@ -45,6 +45,17 @@ bench-compare-smoke:
 # (fresh GOCACHE, -gcflags=-d=ssa/check_bce).
 bce-check:
 	sh scripts/bce_check.sh
+
+# Golden bytes through the CLI: decwi-gammagen's payload for one replay
+# tuple must hash to the digest in testdata/golden_digests.json at
+# GOMAXPROCS 1 and 4.
+golden-check:
+	sh scripts/golden_check.sh
+
+# Ten seconds of coverage-guided fuzzing of the only stream-seek path
+# (Jump additivity and Jump ≡ n×Advance), one worker.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzJumpAdditive$$' -fuzztime 10s -parallel 1 ./internal/rng/mt
 
 # One-iteration smoke run of the burst-transport, sharded-generation and
 # compute-path benchmarks, so they can never silently rot.

@@ -390,25 +390,27 @@ func BenchmarkEngineThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkBlockCompute is this PR's before/after ablation: the gated
-// one-word compute path (every pipeline iteration a CycleStep with
-// per-word Peek/Advance bookkeeping) versus the default block path
-// (bulk Mersenne-Twister fills + batched normal/gamma kernels). Both
-// produce bitwise-identical output; bytes/sec is the comparison axis.
+// BenchmarkBlockCompute compares the engine's two execution paths: the
+// Hardware dataflow (gated one-word compute, every pipeline iteration a
+// CycleStep with per-word Peek/Advance bookkeeping, streamed through
+// 512-bit batches) versus the default Fused path (bulk Mersenne-Twister
+// fills + batched normal/gamma kernels written straight into the result
+// buffer). Both produce bitwise-identical output; bytes/sec is the
+// comparison axis.
 func BenchmarkBlockCompute(b *testing.B) {
 	for _, cID := range []decwi.ConfigID{decwi.Config1, decwi.Config2, decwi.Config3, decwi.Config4} {
 		cID := cID
-		for _, gated := range []bool{true, false} {
-			name := cID.String() + "/block"
-			if gated {
-				name = cID.String() + "/gated"
+		for _, hardware := range []bool{true, false} {
+			name := cID.String() + "/fused"
+			if hardware {
+				name = cID.String() + "/hardware"
 			}
-			gated := gated
+			hardware := hardware
 			b.Run(name, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					if _, err := decwi.Generate(cID, decwi.GenerateOptions{
 						Scenarios: 65536, Sectors: 1, Seed: uint64(i + 1),
-						GatedCompute: gated,
+						Hardware: hardware,
 					}); err != nil {
 						b.Fatal(err)
 					}
@@ -419,28 +421,17 @@ func BenchmarkBlockCompute(b *testing.B) {
 	}
 }
 
-// BenchmarkGenerateParallel is the transport-and-sharding ablation: the
-// per-value seed transport versus the batched WordRNs transport through
-// Generate, versus the work-item-sharded GenerateParallel scheduler
-// (fused chunk execution, zero-copy assembly, output bitwise-identical
-// to Generate). The 1core variant pins GOMAXPROCS=1 so the scheduler's
+// BenchmarkGenerateParallel is the sharding ablation: sequential
+// Generate (the Fused path) versus the work-item-sharded
+// GenerateParallel scheduler (Fused chunk execution, zero-copy assembly,
+// output bitwise-identical to Generate). The 1core variant pins GOMAXPROCS=1 so the scheduler's
 // overhead against the single sequential engine is measured without
 // parallel speedup. All variants move the same number of values;
 // bytes/sec is the comparison axis.
 func BenchmarkGenerateParallel(b *testing.B) {
 	const scenarios, sectors = 65536, 1
 	opts := decwi.GenerateOptions{Scenarios: scenarios, Sectors: sectors, WorkItems: 4}
-	b.Run("per-value", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			o := opts
-			o.Seed, o.PerValueTransport = uint64(i+1), true
-			if _, err := decwi.Generate(decwi.Config2, o); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.SetBytes(scenarios * sectors * 4)
-	})
-	b.Run("batched", func(b *testing.B) {
+	b.Run("sequential", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			o := opts
 			o.Seed = uint64(i + 1)

@@ -185,10 +185,10 @@ func run(cfgNum int, scenarios int64, sectors, workItems int, seed uint64,
 	kr, err := sess.EnqueueGamma(cfg, decwi.GenerateOptions{
 		Scenarios: scenarios, Sectors: sectors,
 		WorkItems: workItems, Seed: seed,
-		// The stall trace is about the stream-side observables —
-		// backpressure spans, burst counters, FIFO occupancy — which
-		// only the hardware-shaped dataflow execution produces.
-		StreamedTransport: true,
+		// The stall trace is about the hardware-shaped observables —
+		// cycle-level interleaving, backpressure spans, burst counters,
+		// FIFO occupancy — which only the Listing 1 dataflow produces.
+		Hardware: true,
 	}, false)
 	if err != nil {
 		sess.Close()

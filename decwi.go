@@ -134,32 +134,17 @@ type GenerateOptions struct {
 	// processes). The (Seed, StreamOffset) pair fully determines the
 	// stream positions.
 	StreamOffset uint64
-	// SequentialSeek applies StreamOffset by stepping the streams word
-	// by word instead of jumping. Output is bitwise-identical either
-	// way; like PerValueTransport, the knob exists for equivalence tests
-	// and benchmarks.
-	SequentialSeek bool
-	// PerValueTransport selects the engine's pre-burst transport (one
-	// stream operation per float32) instead of the default WordRNs-sized
-	// batches. Output is bitwise-identical either way; the knob exists
-	// for the equivalence tests and the before/after benchmarks.
-	PerValueTransport bool
-	// GatedCompute forces the cycle-exact one-word compute path (gated
-	// Mersenne-Twister consumption every pipeline iteration) instead of
-	// the default bulk block-generation path. Output is bitwise-identical
-	// either way; force it when cycle-level interleaving must be
-	// observable (stall tracing, co-simulation cross-checks).
-	GatedCompute bool
-	// StreamedTransport forces the hardware-shaped dataflow execution:
-	// one GammaRNG and one Transfer goroutine per work-item joined by a
-	// blocking hls::stream, with 512-bit packing and burst copies — the
-	// Listing 1 formulation. The default (false) is the fused pipe:
-	// generated candidate blocks land directly in the result buffer at
-	// their device-layout offsets, with no stream hand-off. Output is
-	// bitwise-identical either way; force it when the stream-side
-	// observables (backpressure spans, burst counters, FIFO occupancy)
-	// are the point, as decwi-trace does. PerValueTransport implies it.
-	StreamedTransport bool
+	// Hardware runs Listing 1's dataflow instead of the default Fused
+	// path: one GammaRNG and one Transfer goroutine per work-item
+	// joined by a blocking hls::stream carrying 512-bit batches, burst
+	// copies into the device buffer, and a gated one-word compute step
+	// every pipeline iteration. Output is bitwise-identical either way;
+	// set it when the hardware-shaped observables (cycle-level
+	// interleaving, stream backpressure, burst counters, FIFO
+	// occupancy) are the point, as decwi-trace does. Generate only:
+	// GenerateParallel rejects it, because the dataflow is one
+	// monolithic run.
+	Hardware bool
 	// BreakID is Listing 2's counter delay index for the delayed exit
 	// ("here it suffices to use zero"). Values > 0 make every work-item
 	// overshoot its quota by BreakID extra MAINLOOP trips before the

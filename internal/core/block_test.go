@@ -7,13 +7,14 @@ import (
 	"github.com/decwi/decwi/internal/rng/normal"
 )
 
-// TestBlockComputeEquivalence is this PR's tentpole invariant: the block
-// compute path (bulk Mersenne-Twister fills + batched normal/gamma
-// kernels) produces output bitwise-identical to the cycle-exact gated
-// one-word path, for every Table I config at a fixed seed — including
-// a non-zero BreakID so the delayed-exit overshoot semantics are
-// exercised across the bulk/tail boundary. Scenarios is sized so each
-// work-item runs several full bulk chunks per sector plus a gated tail.
+// TestBlockComputeEquivalence pins the compute axis: the block compute
+// path (bulk Mersenne-Twister fills + batched normal/gamma kernels, run
+// by Fused) produces output bitwise-identical to the cycle-exact gated
+// one-word path (run by Hardware), for every Table I config plus the
+// ziggurat extension at a fixed seed — with a non-zero BreakID so the
+// delayed-exit overshoot semantics are exercised across the bulk/tail
+// boundary. Scenarios is sized so each work-item runs several full bulk
+// chunks per sector plus a gated tail.
 func TestBlockComputeEquivalence(t *testing.T) {
 	cases := append(tableIConfigs[:len(tableIConfigs):len(tableIConfigs)], struct {
 		name      string
@@ -22,28 +23,15 @@ func TestBlockComputeEquivalence(t *testing.T) {
 	}{"Ziggurat-MT19937", normal.Ziggurat, mt.MT19937Params})
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			base := Config{
+			cfg := Config{
 				Transform: tc.transform, MTParams: tc.params,
 				WorkItems: 2, Scenarios: 2000, Sectors: 3,
 				SectorVariances: []float64{0.5, 1.39, 4.0},
 				Seed:            0xDECB10C5,
 				BreakID:         2,
 			}
-			run := func(gated bool) *RunResult {
-				cfg := base
-				cfg.GatedCompute = gated
-				e, err := NewEngine(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				res, err := e.Run()
-				if err != nil {
-					t.Fatal(err)
-				}
-				return res
-			}
-			gated := run(true)
-			block := run(false)
+			gated := runMode(t, cfg, true)
+			block := runMode(t, cfg, false)
 			if len(gated.Data) != len(block.Data) {
 				t.Fatalf("length mismatch: gated %d, block %d", len(gated.Data), len(block.Data))
 			}
@@ -65,38 +53,11 @@ func TestBlockComputeEquivalence(t *testing.T) {
 	}
 }
 
-// TestBlockComputeDeterminism: two block-path runs at one seed agree —
-// the sync.Pool scratch reuse introduces no cross-run state.
-func TestBlockComputeDeterminism(t *testing.T) {
-	cfg := Config{
-		Transform: normal.MarsagliaBray, MTParams: mt.MT521Params,
-		WorkItems: 4, Scenarios: 3000, Sectors: 2,
-		SectorVariance: 1.39, Seed: 7,
-	}
-	run := func() []float32 {
-		e, err := NewEngine(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := e.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Data
-	}
-	a, b := run(), run()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("Data[%d] differs across identical block-path runs", i)
-		}
-	}
-}
-
-// TestBlockComputeTinyQuota covers the degenerate splits: quotas below
-// one chunk (pure gated tail), quotas of exactly one chunk (quota lands
-// on a chunk boundary, exercising the quotaAt = last-trip case when all
-// attempts accept — and the tail overshoot path either way), and zero
-// scenarios for trailing work-items.
+// TestBlockComputeTinyQuota covers the degenerate splits of the compute
+// axis: quotas below one chunk (pure gated tail), quotas of exactly one
+// chunk (quota lands on a chunk boundary, exercising the quotaAt =
+// last-trip case when all attempts accept — and the tail overshoot path
+// either way), and zero scenarios for trailing work-items.
 func TestBlockComputeTinyQuota(t *testing.T) {
 	for _, scenarios := range []int64{1, 3, 255, 256, 257, 512} {
 		cfg := Config{
@@ -104,20 +65,7 @@ func TestBlockComputeTinyQuota(t *testing.T) {
 			WorkItems: 3, Scenarios: scenarios, Sectors: 2,
 			SectorVariance: 0.9, Seed: 31, BreakID: 1,
 		}
-		run := func(gated bool) []float32 {
-			c := cfg
-			c.GatedCompute = gated
-			e, err := NewEngine(c)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := e.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			return res.Data
-		}
-		g, b := run(true), run(false)
+		g, b := runMode(t, cfg, true).Data, runMode(t, cfg, false).Data
 		for i := range g {
 			if g[i] != b[i] {
 				t.Fatalf("scenarios=%d Data[%d]: gated %x, block %x", scenarios, i, g[i], b[i])

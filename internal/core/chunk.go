@@ -20,12 +20,13 @@ import (
 // (zero-copy assembly), on any goroutine, in any order, and the bytes
 // are identical to a monolithic Run (TestRunChunkEquivalence).
 //
-// Unlike Run, a chunk executes its work-items *fused*: generateWI emits
-// directly into the destination slice with no hls::stream, no 512-bit
-// packing and no Transfer goroutine. The hardware-shaped streamed path
-// stays what Run models; the fused path is the host-side throughput
-// path. Both consume the identical generator sequence, so the emitted
-// values — and the result bytes — cannot differ.
+// A chunk always executes its work-items on the Fused path: generateWI
+// runs the block compute phase directly into the destination slice with
+// no hls::stream, no 512-bit packing and no Transfer goroutine. The
+// Listing 1 dataflow is what Run models with Config.Hardware; the Fused
+// path is the host-side throughput path. Both consume the identical
+// generator sequence, so the emitted values — and the result bytes —
+// cannot differ.
 
 // RunChunk executes work-items [lo, hi) of the engine's layout, writing
 // each one's output into dst at its final device-layout offset. dst must

@@ -38,40 +38,21 @@ type Config struct {
 	// StreamDepth is the hls::stream FIFO depth between generation and
 	// transfer. Default 64; negative depths are rejected.
 	StreamDepth int
-	// PerValueTransport moves one float32 per stream operation between
-	// GammaRNG and Transfer (the original Listing 1 handshake) instead
-	// of the default WordRNs-sized bursts. The generated data is
-	// bitwise-identical either way (TestBatchedTransportEquivalence);
-	// the knob exists for the equivalence tests and the before/after
-	// benchmarks, not for production use.
-	PerValueTransport bool
-	// GatedCompute forces the cycle-exact one-word compute path: every
-	// pipeline iteration is a gamma.CycleStep with gated Mersenne-Twister
-	// consumption, exactly as the Listing 2/3 hardware formulation. The
-	// default (false) selects the block compute path, which bulk-fills
-	// Mersenne-Twister words and runs batched normal/gamma kernels over
-	// chunks of blockCycles attempts, falling back to the gated loop for
-	// each sector's tail. Both paths produce bitwise-identical output
-	// (TestBlockComputeEquivalence); the gated path exists for FPGA
-	// co-simulation and cycle-level stall tracing, where per-cycle
-	// interleaving is observable.
-	GatedCompute bool
-	// StreamedTransport forces Listing 1's dataflow execution: one
-	// GammaRNG and one Transfer process per work-item, joined by a
-	// blocking hls::stream, with 512-bit packing and burst copies into
-	// the device buffer. The default (false) selects the fused pipe:
-	// Run executes the work-items sequentially through the RunChunk
-	// machinery, generated blocks landing directly in the result buffer
-	// at their device-layout offsets — no streams, no packing, no
-	// transfer goroutines. Both produce bitwise-identical bytes
-	// (TestFusedRunEquivalence); the streamed path exists for the
-	// hardware-shaped model, where stream backpressure, burst accounting
-	// and dataflow process spans are the observables. The stream-side
-	// stats (Bursts, FlushedWords, StreamHigh) and the membus/stream
-	// telemetry exist only there. PerValueTransport implies
-	// StreamedTransport: a per-value stream handshake is meaningless
-	// without the stream.
-	StreamedTransport bool
+	// Hardware selects Listing 1's dataflow execution: one GammaRNG and
+	// one Transfer process per work-item, joined by a blocking
+	// hls::stream that moves WordRNs-sized (512-bit) batches, with
+	// burst copies into the device buffer, and every pipeline iteration
+	// a gated one-word gamma.CycleStep (Listings 2-4). The default
+	// (false) is the Fused path: work-items run through the RunChunk
+	// machinery, bulk-filling Mersenne-Twister words and generating
+	// candidate blocks straight into the result buffer at their
+	// device-layout offsets. Both produce bitwise-identical bytes
+	// (TestFusedRunEquivalence, pinned absolutely by the golden
+	// corpus); Hardware exists for stall tracing and the
+	// hardware-shaped observables, which exist only there: stream
+	// backpressure, burst accounting (Bursts, FlushedWords, StreamHigh)
+	// and dataflow process spans.
+	Hardware bool
 	// StreamOffset fast-forwards every work-item's four Mersenne-Twister
 	// streams by this many state words before generation begins — an
 	// O(log n) seek through each stream (mt.Core.Jump). The default 0
@@ -80,11 +61,6 @@ type Config struct {
 	// selects a later window of the same per-seed streams, which is what
 	// checkpoint/resume and multi-process stream partitioning build on.
 	StreamOffset uint64
-	// SequentialSeek applies StreamOffset by stepping the streams one
-	// word at a time instead of jumping. The two are bitwise-equivalent
-	// (TestStreamOffsetSeekEquivalence); like PerValueTransport, the knob
-	// exists for equivalence tests and benchmarks, not production use.
-	SequentialSeek bool
 	// BreakID is the counter delay index of Listing 2 ("here it
 	// suffices to use zero").
 	BreakID int
@@ -148,9 +124,6 @@ func (c Config) setDefaults() (Config, error) {
 	}
 	if c.MTParams.N == 0 {
 		c.MTParams = mt.MT19937Params
-	}
-	if c.PerValueTransport {
-		c.StreamedTransport = true
 	}
 	return c, nil
 }
@@ -260,17 +233,16 @@ func (e *Engine) splitScenarios() []int64 {
 	return out
 }
 
-// Run executes the engine. The default is the fused pipe: work-items
+// Run executes the engine. The default is the Fused path: work-items
 // run sequentially through the RunChunk machinery, each generated block
 // written directly into the result buffer at its device-layout offset.
-// With Config.StreamedTransport it is instead Listing 1's
-// DecoupledWorkItems — one gammaRNG process and one Transfer process
-// per work-item, joined by a blocking stream, all scheduled
-// concurrently. The bytes are identical either way
-// (TestFusedRunEquivalence).
+// With Config.Hardware it is instead Listing 1's DecoupledWorkItems —
+// one gammaRNG process and one Transfer process per work-item, joined
+// by a blocking stream, all scheduled concurrently. The bytes are
+// identical either way (TestFusedRunEquivalence).
 func (e *Engine) Run() (*RunResult, error) {
-	if e.cfg.StreamedTransport {
-		return e.runStreamed()
+	if e.cfg.Hardware {
+		return e.runHardware()
 	}
 	return e.runFused()
 }
@@ -295,9 +267,8 @@ func (e *Engine) runFused() (*RunResult, error) {
 	return res, nil
 }
 
-// runStreamed is the hardware-shaped execution behind
-// Config.StreamedTransport.
-func (e *Engine) runStreamed() (*RunResult, error) {
+// runHardware is the Listing 1 dataflow behind Config.Hardware.
+func (e *Engine) runHardware() (*RunResult, error) {
 	cfg := e.cfg
 	per := e.per
 
@@ -384,54 +355,23 @@ func (e *Engine) instrumentTrips(gen *gamma.Generator) {
 // per-work-item scratch stays cache-resident.
 const blockCycles = 256
 
-// blockBuffers bundles one work-item's block-path scratch. The buffers
-// are pooled because engine runs spin up fresh goroutines per work-item
-// (lifetimes cross goroutines between runs); within one gammaRNG call
-// the same buffers are reused with zero allocation.
-type blockBuffers struct {
-	scratch *gamma.BlockScratch
-	out     []float32
-}
-
-var blockBuffersPool = sync.Pool{New: func() any {
-	return &blockBuffers{
-		scratch: gamma.NewBlockScratch(blockCycles),
-		out:     make([]float32, blockCycles),
-	}
+// blockScratchPool holds the block compute path's per-work-item
+// scratch. It is pooled because chunked runs execute work-items on
+// arbitrary goroutines (lifetimes cross goroutines between runs); within
+// one work-item the same scratch is reused with zero allocation.
+var blockScratchPool = sync.Pool{New: func() any {
+	return gamma.NewBlockScratch(blockCycles)
 }}
 
-// gammaRNG is Listing 2: SECLOOP over sectors, each running the delayed-
-// exit MAINLOOP until limitMain validated outputs are written to the
-// stream. Validated outputs are staged in a WordRNs-sized batch and
-// moved with one WriteBurst per 512-bit word (unless PerValueTransport
-// re-selects the per-value handshake); the value sequence on the stream
-// is identical either way.
-//
-// Unless Config.GatedCompute demands the cycle-exact one-word loop, the
-// bulk of each sector runs through gamma.CycleBlock in chunks of
-// blockCycles attempts. The chunked phase only runs while the remaining
-// output quota is at least blockCycles: a chunk of n attempts yields at
-// most n outputs, so the counter cannot pass limitMain mid-chunk, and it
-// can reach the quota only exactly at a chunk boundary (every attempt
-// accepted) — in which case the quota trip index is the chunk's last
-// trip, as on the gated path. The sector tail (fewer than blockCycles
-// outputs remaining, plus the delayed-exit overshoot) reuses the
-// original gated MAINLOOP verbatim; entering it with a fresh RegDelay is
-// exact because the register's zero-initialized stages are below
-// limitMain, just as every pre-quota counter value the gated path would
-// have shifted through, so the delayed exit fires after the identical
-// number of overshoot trips.
+// gammaRNG is Listing 2 on the Hardware path: SECLOOP over sectors,
+// each running the gated one-word MAINLOOP with its delayed exit until
+// limitMain validated outputs are written to the stream. Validated
+// outputs are staged in a WordRNs-sized batch and moved with one
+// WriteBurst per 512-bit word.
 func (e *Engine) gammaRNG(wid int, limitMain int64, gen *gamma.Generator, out *hls.Stream[float32], stats *WorkItemStats) error {
 	defer out.Close()
-	var batch []float32
-	if !e.cfg.PerValueTransport {
-		batch = make([]float32, 0, WordRNs)
-	}
+	batch := make([]float32, 0, WordRNs)
 	emit := func(v float32) {
-		if batch == nil {
-			out.Write(v)
-			return
-		}
 		batch = append(batch, v)
 		if len(batch) == WordRNs {
 			out.WriteBurst(batch)
@@ -451,25 +391,40 @@ func (e *Engine) gammaRNG(wid int, limitMain int64, gen *gamma.Generator, out *h
 
 // sink is generateWI's output hand-off. value delivers one validated
 // output (the gated compute path and every sector's gated tail). block,
-// when non-nil, returns a destination slice for up to n outputs so the
-// block compute phase can generate straight into final storage — the
-// fused pipe — with commit(produced) advancing past the outputs
-// actually produced; a nil block stages each chunk in scratch and
-// replays it through value, which is what the streamed transport needs.
+// when non-nil, selects the block compute path: it returns a destination
+// slice for up to n outputs so candidate blocks are generated straight
+// into final storage — the Fused path — with commit(produced) advancing
+// past the outputs actually produced. A nil block is the Hardware path:
+// every pipeline iteration is a gated one-word gamma.CycleStep.
 type sink struct {
 	value  func(float32)
 	block  func(n int) []float32
 	commit func(produced int)
 }
 
-// generateWI is the transport-agnostic body of gammaRNG: the SECLOOP
-// over sectors with the delayed-exit MAINLOOP, handing each validated
-// output to the sink, in order. The value sequence depends only on the
-// work-item's generator (seed, transform, twister, variances) — never on
-// where the sink puts the value — which is what makes the streamed Run
-// path and the fused RunChunk path bitwise-identical. ctx, when
-// non-nil, is polled at sector boundaries so a cancelled chunked run
-// aborts promptly without perturbing any completed sector.
+// generateWI is the execution-path-agnostic body of gammaRNG: the
+// SECLOOP over sectors with the delayed-exit MAINLOOP, handing each
+// validated output to the sink, in order. The value sequence depends
+// only on the work-item's generator (seed, transform, twister,
+// variances) — never on where the sink puts the value or which compute
+// path produced it — which is what makes the Hardware Run path and the
+// Fused RunChunk path bitwise-identical. ctx, when non-nil, is polled
+// at sector boundaries so a cancelled chunked run aborts promptly
+// without perturbing any completed sector.
+//
+// With a block sink, the bulk of each sector runs through
+// gamma.CycleBlock in chunks of blockCycles attempts. The chunked phase
+// only runs while the remaining output quota is at least blockCycles: a
+// chunk of n attempts yields at most n outputs, so the counter cannot
+// pass limitMain mid-chunk, and it can reach the quota only exactly at
+// a chunk boundary (every attempt accepted) — in which case the quota
+// trip index is the chunk's last trip, as on the gated path. The sector
+// tail (fewer than blockCycles outputs remaining, plus the delayed-exit
+// overshoot) runs the gated MAINLOOP verbatim; entering it with a fresh
+// RegDelay is exact because the register's zero-initialized stages are
+// below limitMain, just as every pre-quota counter value the gated path
+// would have shifted through, so the delayed exit fires after the
+// identical number of overshoot trips.
 func (e *Engine) generateWI(ctx context.Context, wid int, limitMain int64, gen *gamma.Generator, snk sink, stats *WorkItemStats) error {
 	cfg := e.cfg
 	limitMax := cfg.LimitMaxFactor*limitMain + 1024
@@ -479,11 +434,11 @@ func (e *Engine) generateWI(ctx context.Context, wid int, limitMain int64, gen *
 	// itself carries no instrumentation.
 	tr := cfg.Telemetry.Track(fmt.Sprintf("GammaRNG[%d]", wid), telemetry.Cycles)
 
-	var bufs *blockBuffers
+	var scratch *gamma.BlockScratch
 	var cFills, cWords *telemetry.Counter
-	if !cfg.GatedCompute {
-		bufs = blockBuffersPool.Get().(*blockBuffers)
-		defer blockBuffersPool.Put(bufs)
+	if snk.block != nil {
+		scratch = blockScratchPool.Get().(*gamma.BlockScratch)
+		defer blockScratchPool.Put(scratch)
 		cFills = cfg.Telemetry.Counter(fmt.Sprintf("rng.gamma[%d].block-fills", wid), "events",
 			"bulk block-generation batches (CycleBlock calls)")
 		cWords = cfg.Telemetry.Counter(fmt.Sprintf("rng.gamma[%d].block-words", wid), "values",
@@ -503,25 +458,15 @@ func (e *Engine) generateWI(ctx context.Context, wid int, limitMain int64, gen *
 		var quotaAt, trips int64 = -1, 0
 		sectorStart := int64(gen.Cycles())
 
-		if bufs != nil {
+		if scratch != nil {
 			for int64(counter)+blockCycles <= limitMain && trips < limitMax {
 				attempts := int64(blockCycles)
 				if rem := limitMax - trips; rem < attempts {
 					attempts = rem // starvation guard: never exceed limitMax trips
 				}
 				nvBefore := gen.NormalValid()
-				out := bufs.out[:attempts]
-				if snk.block != nil {
-					out = snk.block(int(attempts))
-				}
-				produced := gen.CycleBlock(out, int(attempts), bufs.scratch)
-				if snk.block != nil {
-					snk.commit(produced)
-				} else {
-					for _, v := range out[:produced] {
-						snk.value(v)
-					}
-				}
+				produced := gen.CycleBlock(snk.block(int(attempts)), int(attempts), scratch)
+				snk.commit(produced)
 				counter += uint32(produced)
 				trips += attempts
 				if int64(counter) == limitMain {
@@ -590,12 +535,9 @@ func (e *Engine) recordWICounters(wid int, gen *gamma.Generator) {
 		"Mersenne-Twister feed stream MT2 held (correction uniform gated)").Set(cycles - accepted)
 }
 
-// transfer is Listing 4: read the stream, pack into 512-bit words, fill
-// the burst buffer, and copy each completed burst into the single device
-// buffer at this work-item's running offset. The default path dequeues
-// one whole 512-bit word per ReadBurst; PerValueTransport re-selects the
-// seed behaviour of one Read per value through Packer512. Both paths
-// write the identical byte sequence into the device buffer.
+// transfer is Listing 4: dequeue one whole 512-bit word per ReadBurst,
+// fill the burst buffer, and copy each completed burst into the single
+// device buffer at this work-item's running offset.
 func (e *Engine) transfer(wid int, limitMain int64, in *hls.Stream[float32], res *RunResult, stats *WorkItemStats) error {
 	cfg := e.cfg
 	burstWords := cfg.BurstRNs / WordRNs
@@ -625,57 +567,31 @@ func (e *Engine) transfer(wid int, limitMain int64, in *hls.Stream[float32], res
 	}
 
 	total := limitMain * int64(cfg.Sectors)
-	if cfg.PerValueTransport {
-		var pk Packer512
-		for i := int64(0); i < total; i++ {
-			v, err := in.Read()
-			if err != nil {
-				return fmt.Errorf("core: transfer %d: stream ended after %d of %d values: %w", wid, i, total, err)
-			}
-			if w, ok := pk.Push(v); ok {
-				burst = append(burst, w)
-				if len(burst) == burstWords {
-					flushBurst()
-				}
-			}
+	var w Word512
+	words := total / int64(WordRNs)
+	for i := int64(0); i < words; i++ {
+		n, err := in.ReadBurst(w[:])
+		if err != nil || n < WordRNs {
+			return fmt.Errorf("core: transfer %d: stream ended after %d of %d values: %w",
+				wid, i*int64(WordRNs)+int64(n), total, errTruncated(err))
 		}
-		// Tail handling for non-divisible workloads: emit the partial
-		// word with exact length so no padding lands in the result buffer.
-		if w, ok := pk.Flush(); ok {
-			flushBurst()
-			emit(w, int(total%int64(WordRNs)))
-			stats.FlushedWords++
-			stats.Bursts++
-		} else {
+		burst = append(burst, w)
+		if len(burst) == burstWords {
 			flushBurst()
 		}
-	} else {
-		var w Word512
-		words := total / int64(WordRNs)
-		for i := int64(0); i < words; i++ {
-			n, err := in.ReadBurst(w[:])
-			if err != nil || n < WordRNs {
-				return fmt.Errorf("core: transfer %d: stream ended after %d of %d values: %w",
-					wid, i*int64(WordRNs)+int64(n), total, errTruncated(err))
-			}
-			burst = append(burst, w)
-			if len(burst) == burstWords {
-				flushBurst()
-			}
+	}
+	flushBurst()
+	// Tail handling for non-divisible workloads: emit the partial word
+	// with exact length so no padding lands in the result buffer.
+	if rem := int(total % int64(WordRNs)); rem > 0 {
+		n, err := in.ReadBurst(w[:rem])
+		if err != nil || n < rem {
+			return fmt.Errorf("core: transfer %d: stream ended after %d of %d values: %w",
+				wid, words*int64(WordRNs)+int64(n), total, errTruncated(err))
 		}
-		if rem := int(total % int64(WordRNs)); rem > 0 {
-			n, err := in.ReadBurst(w[:rem])
-			if err != nil || n < rem {
-				return fmt.Errorf("core: transfer %d: stream ended after %d of %d values: %w",
-					wid, words*int64(WordRNs)+int64(n), total, errTruncated(err))
-			}
-			flushBurst()
-			emit(w, rem)
-			stats.FlushedWords++
-			stats.Bursts++
-		} else {
-			flushBurst()
-		}
+		emit(w, rem)
+		stats.FlushedWords++
+		stats.Bursts++
 	}
 	if offset != res.BlockOffsets[wid+1] {
 		return fmt.Errorf("core: transfer %d: wrote %d values, block expects %d",

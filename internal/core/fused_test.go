@@ -10,15 +10,46 @@ import (
 	"github.com/decwi/decwi/internal/telemetry"
 )
 
-// TestFusedRunEquivalence is this PR's tentpole invariant on the
-// transport axis: the fused pipe (Run dispatching straight into the
-// RunChunk machinery, candidate blocks landing in the device buffer at
-// their layout offsets) produces output bitwise-identical to Listing 1's
-// streamed dataflow — one GammaRNG and one Transfer process per
-// work-item joined by an hls::stream — for every Table I config at a
-// fixed seed. BreakID is non-zero so the delayed-exit overshoot
-// semantics cross the transport boundary too, the work-item split is
-// uneven, and the run is multi-sector with per-sector variances.
+// tableIConfigs are the four kernel builds of Table I.
+var tableIConfigs = []struct {
+	name      string
+	transform normal.Kind
+	params    mt.Params
+}{
+	{"Config1-MB-MT19937", normal.MarsagliaBray, mt.MT19937Params},
+	{"Config2-MB-MT521", normal.MarsagliaBray, mt.MT521Params},
+	{"Config3-ICDF-MT19937", normal.ICDFCUDA, mt.MT19937Params},
+	{"Config4-ICDF-MT521", normal.ICDFCUDA, mt.MT521Params},
+}
+
+// runMode runs cfg on the Fused path or the Hardware dataflow.
+func runMode(t *testing.T, cfg Config, hardware bool) *RunResult {
+	t.Helper()
+	cfg.Hardware = hardware
+	e, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// TestFusedRunEquivalence is the engine's one execution-path invariant:
+// the Fused path (block compute — bulk Mersenne-Twister fills and
+// batched normal/gamma kernels — writing candidate blocks straight into
+// the device buffer through the RunChunk machinery) produces output
+// bitwise-identical to the Hardware path (Listing 1's dataflow: gated
+// one-word compute every pipeline iteration, one GammaRNG and one
+// Transfer process per work-item joined by an hls::stream moving
+// 512-bit batches). Because the two differ on both the compute and the
+// transport axis, one comparison covers both. The table spans every
+// Table I config plus the ziggurat extension, BreakID 0 and 2 (the
+// delayed-exit overshoot crossing the bulk/tail boundary), per-sector
+// variances and an uneven work-item split with several bulk chunks plus
+// a gated tail per sector; the stream FIFO is shallower than a burst.
 func TestFusedRunEquivalence(t *testing.T) {
 	cases := append(tableIConfigs[:len(tableIConfigs):len(tableIConfigs)], struct {
 		name      string
@@ -27,50 +58,40 @@ func TestFusedRunEquivalence(t *testing.T) {
 	}{"Ziggurat-MT19937", normal.Ziggurat, mt.MT19937Params})
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			base := Config{
-				Transform: tc.transform, MTParams: tc.params,
-				WorkItems: 3, Scenarios: 1501, Sectors: 3,
-				SectorVariances: []float64{0.5, 1.39, 4.0},
-				Seed:            0xF05EDB17,
-				BreakID:         2,
-			}
-			run := func(streamed bool) *RunResult {
-				cfg := base
-				cfg.StreamedTransport = streamed
-				e, err := NewEngine(cfg)
-				if err != nil {
-					t.Fatal(err)
+			for _, breakID := range []int{0, 2} {
+				cfg := Config{
+					Transform: tc.transform, MTParams: tc.params,
+					WorkItems: 3, Scenarios: 2501, Sectors: 3,
+					SectorVariances: []float64{0.5, 1.39, 4.0},
+					Seed:            0xF05EDB17,
+					StreamDepth:     8,
+					BreakID:         breakID,
 				}
-				res, err := e.Run()
-				if err != nil {
-					t.Fatal(err)
+				hw := runMode(t, cfg, true)
+				fused := runMode(t, cfg, false)
+				if len(hw.Data) != len(fused.Data) {
+					t.Fatalf("BreakID=%d: length mismatch: hardware %d, fused %d", breakID, len(hw.Data), len(fused.Data))
 				}
-				return res
-			}
-			streamed := run(true)
-			fused := run(false)
-			if len(streamed.Data) != len(fused.Data) {
-				t.Fatalf("length mismatch: streamed %d, fused %d", len(streamed.Data), len(fused.Data))
-			}
-			for i := range streamed.Data {
-				if streamed.Data[i] != fused.Data[i] {
-					t.Fatalf("Data[%d]: streamed %x, fused %x", i, streamed.Data[i], fused.Data[i])
+				for i := range hw.Data {
+					if hw.Data[i] != fused.Data[i] {
+						t.Fatalf("BreakID=%d Data[%d]: hardware %x, fused %x", breakID, i, hw.Data[i], fused.Data[i])
+					}
 				}
-			}
-			// The pipeline-side telemetry is transport-independent; only
-			// the stream-side stats (Bursts, FlushedWords, StreamHigh)
-			// exist solely on the streamed path.
-			for w := range streamed.PerWI {
-				s, f := streamed.PerWI[w], fused.PerWI[w]
-				if s.Cycles != f.Cycles || s.Accepted != f.Accepted || s.Overshoot != f.Overshoot || s.Scenarios != f.Scenarios {
-					t.Fatalf("work-item %d stats: streamed {cycles %d accepted %d overshoot %d}, fused {%d %d %d}",
-						w, s.Cycles, s.Accepted, s.Overshoot, f.Cycles, f.Accepted, f.Overshoot)
-				}
-				if s.Bursts == 0 {
-					t.Fatalf("work-item %d: streamed path formed no bursts", w)
-				}
-				if f.Bursts != 0 {
-					t.Fatalf("work-item %d: fused path reported %d bursts; it has no stream", w, f.Bursts)
+				// The pipeline-side telemetry is path-independent; only
+				// the stream-side stats (Bursts, FlushedWords,
+				// StreamHigh) exist solely on the Hardware path.
+				for w := range hw.PerWI {
+					h, f := hw.PerWI[w], fused.PerWI[w]
+					if h.Cycles != f.Cycles || h.Accepted != f.Accepted || h.Overshoot != f.Overshoot || h.Scenarios != f.Scenarios {
+						t.Fatalf("BreakID=%d work-item %d stats: hardware {cycles %d accepted %d overshoot %d}, fused {%d %d %d}",
+							breakID, w, h.Cycles, h.Accepted, h.Overshoot, f.Cycles, f.Accepted, f.Overshoot)
+					}
+					if h.Bursts == 0 {
+						t.Fatalf("BreakID=%d work-item %d: Hardware path formed no bursts", breakID, w)
+					}
+					if f.Bursts != 0 {
+						t.Fatalf("BreakID=%d work-item %d: Fused path reported %d bursts; it has no stream", breakID, w, f.Bursts)
+					}
 				}
 			}
 		})
@@ -78,8 +99,9 @@ func TestFusedRunEquivalence(t *testing.T) {
 }
 
 // TestFusedRunTinyQuota drives the adversarial splits through both
-// transports: quotas below one candidate block (pure gated tail), quotas
-// landing exactly on a block boundary, single-scenario runs where some
+// paths: quotas below one candidate block (pure gated tail), quotas
+// landing exactly on a block boundary (the quotaAt = last-trip case
+// when every attempt accepts), single-scenario runs where some
 // work-items receive nothing, all with delayed exit enabled.
 func TestFusedRunTinyQuota(t *testing.T) {
 	for _, scenarios := range []int64{1, 3, 255, 256, 257, 513} {
@@ -88,48 +110,61 @@ func TestFusedRunTinyQuota(t *testing.T) {
 			WorkItems: 3, Scenarios: scenarios, Sectors: 2,
 			SectorVariance: 0.9, Seed: 47, BreakID: 1,
 		}
-		run := func(streamed bool) []float32 {
-			c := cfg
-			c.StreamedTransport = streamed
-			e, err := NewEngine(c)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := e.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			return res.Data
-		}
-		s, f := run(true), run(false)
-		for i := range s {
-			if s[i] != f[i] {
-				t.Fatalf("scenarios=%d Data[%d]: streamed %x, fused %x", scenarios, i, s[i], f[i])
+		h, f := runMode(t, cfg, true).Data, runMode(t, cfg, false).Data
+		for i := range h {
+			if h[i] != f[i] {
+				t.Fatalf("scenarios=%d Data[%d]: hardware %x, fused %x", scenarios, i, h[i], f[i])
 			}
 		}
 	}
 }
 
-// TestFusedTelemetryCounters: the fused path accounts for its direct
+// TestBlockComputeDeterminism: two Fused runs at one seed agree — the
+// sync.Pool scratch and generator reuse introduces no cross-run state.
+func TestBlockComputeDeterminism(t *testing.T) {
+	cfg := Config{
+		Transform: normal.MarsagliaBray, MTParams: mt.MT521Params,
+		WorkItems: 4, Scenarios: 3000, Sectors: 2,
+		SectorVariance: 1.39, Seed: 7,
+	}
+	a, b := runMode(t, cfg, false).Data, runMode(t, cfg, false).Data
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("Data[%d] differs across identical Fused runs", i)
+		}
+	}
+}
+
+// TestBatchedTransportDeterminism: two Hardware runs at the same seed
+// are identical — the concurrently scheduled dataflow processes and
+// their 512-bit stream batches introduce no scheduling-dependent state.
+func TestBatchedTransportDeterminism(t *testing.T) {
+	cfg := Config{
+		Transform: normal.MarsagliaBray, MTParams: mt.MT19937Params,
+		WorkItems: 4, Scenarios: 256, Sectors: 2,
+		SectorVariance: 1.39, Seed: 42,
+	}
+	a, b := runMode(t, cfg, true).Data, runMode(t, cfg, true).Data
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("Data[%d] differs across identical Hardware runs", i)
+		}
+	}
+}
+
+// TestFusedTelemetryCounters: the Fused path accounts for its direct
 // writes — every block landing in the device buffer bumps
 // engine.fused-blocks and every value engine.fused-direct, and together
 // with the gated tails the direct writes never exceed the output total.
-// The streamed run must not create fused counters at all.
+// The Hardware run must not create fused counters at all.
 func TestFusedTelemetryCounters(t *testing.T) {
-	run := func(streamed bool) (int64, int64, []string) {
+	run := func(hardware bool) (int64, int64, []string) {
 		rec := telemetry.New(64)
-		e, err := NewEngine(Config{
+		runMode(t, Config{
 			Transform: normal.MarsagliaBray, MTParams: mt.MT521Params,
 			WorkItems: 2, Scenarios: 2000, Sectors: 2,
-			SectorVariance: 1.39, Seed: 5,
-			StreamedTransport: streamed, Telemetry: rec,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := e.Run(); err != nil {
-			t.Fatal(err)
-		}
+			SectorVariance: 1.39, Seed: 5, Telemetry: rec,
+		}, hardware)
 		var blocks, direct int64
 		var names []string
 		for _, c := range rec.Counters() {
@@ -151,13 +186,14 @@ func TestFusedTelemetryCounters(t *testing.T) {
 		t.Fatalf("fused-direct %d exceeds output total %d", direct, total)
 	}
 	if blocks, direct, names := run(true); blocks != 0 || direct != 0 {
-		t.Fatalf("streamed run created fused counters (%d blocks, %d direct): %v", blocks, direct, names)
+		t.Fatalf("Hardware run created fused counters (%d blocks, %d direct): %v", blocks, direct, names)
 	}
 }
 
 // TestPropertyFusedEquivalence is the testing/quick sweep over the
-// transport axis: any small configuration — random transform, workload,
-// split, seed and BreakID — produces the same bytes streamed and fused.
+// execution-path axis: any small configuration — random transform,
+// workload, split, seed and BreakID — produces the same bytes on the
+// Hardware and the Fused path.
 func TestPropertyFusedEquivalence(t *testing.T) {
 	kinds := []normal.Kind{normal.MarsagliaBray, normal.ICDFCUDA, normal.Ziggurat}
 	f := func(scenRaw uint16, secRaw, wiRaw, kindRaw uint8, seed uint64) bool {
@@ -170,22 +206,9 @@ func TestPropertyFusedEquivalence(t *testing.T) {
 			SectorVariance: 1.39, Seed: seed,
 			BreakID: int(seed % 3),
 		}
-		run := func(streamed bool) []float32 {
-			c := cfg
-			c.StreamedTransport = streamed
-			e, err := NewEngine(c)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := e.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			return res.Data
-		}
-		s, f := run(true), run(false)
-		for i := range s {
-			if s[i] != f[i] {
+		h, f := runMode(t, cfg, true).Data, runMode(t, cfg, false).Data
+		for i := range h {
+			if h[i] != f[i] {
 				return false
 			}
 		}

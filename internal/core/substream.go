@@ -27,16 +27,9 @@ import (
 
 // seekStreams positions a freshly (re)seeded generator at the
 // configured stream offset plus an execution-path extra (the substream
-// stride of a part), using the O(log n) jump unless the configuration
-// demands the sequential walk.
+// stride of a part) with the O(log n) jump.
 func (e *Engine) seekStreams(gen *gamma.Generator, extra uint64) {
-	off := e.cfg.StreamOffset + extra
-	if off == 0 {
-		return
-	}
-	if e.cfg.SequentialSeek {
-		gen.AdvanceStreams(off)
-	} else {
+	if off := e.cfg.StreamOffset + extra; off != 0 {
 		gen.JumpStreams(off)
 	}
 }
@@ -125,8 +118,8 @@ func (e *Engine) RunItemPart(ctx context.Context, dst []float32, wid, part, part
 	// loop (TestRunItemPartBlockEquivalence), and the pooled scratch is
 	// shared across RunItemPart calls, so a lane allocates nothing in
 	// steady state.
-	bufs := blockBuffersPool.Get().(*blockBuffers)
-	defer blockBuffersPool.Put(bufs)
+	scratch := blockScratchPool.Get().(*gamma.BlockScratch)
+	defer blockScratchPool.Put(scratch)
 	for sector := 0; sector < cfg.Sectors; sector++ {
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
@@ -144,7 +137,7 @@ func (e *Engine) RunItemPart(ctx context.Context, dst []float32, wid, part, part
 			if rem := limitMax - trips; rem < attempts {
 				attempts = rem // starvation guard: never exceed limitMax trips
 			}
-			produced := gen.CycleBlock(out[counter:counter+attempts], int(attempts), bufs.scratch)
+			produced := gen.CycleBlock(out[counter:counter+attempts], int(attempts), scratch)
 			counter += int64(produced)
 			trips += attempts
 		}

@@ -44,41 +44,6 @@ func floatBytes(xs []float32) []byte {
 	return buf.Bytes()
 }
 
-// TestStreamOffsetSeekEquivalence: the O(log n) jump seek and the O(n)
-// sequential seek must produce byte-identical runs, on both the fused
-// chunk path and the streamed Run path — and a nonzero offset must
-// actually move the stream.
-func TestStreamOffsetSeekEquivalence(t *testing.T) {
-	cfg := substreamConfig()
-	baseline := runFull(t, cfg)
-
-	cfg.StreamOffset = 4099
-	jumped := runFull(t, cfg)
-	cfg.SequentialSeek = true
-	stepped := runFull(t, cfg)
-
-	if !bytes.Equal(floatBytes(jumped), floatBytes(stepped)) {
-		t.Fatal("jump seek and sequential seek produce different bytes")
-	}
-	if bytes.Equal(floatBytes(jumped), floatBytes(baseline)) {
-		t.Fatal("StreamOffset=4099 left the output unchanged")
-	}
-
-	// Streamed Run path must agree with the fused chunk path at the same
-	// offset (the tentpole RunChunk≡Run invariant extends to seeks).
-	e, err := NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(floatBytes(res.Data), floatBytes(jumped)) {
-		t.Fatal("streamed Run at StreamOffset=4099 differs from fused chunk path")
-	}
-}
-
 // TestRunItemPartDeterministicPartition: the (wid, part) grid must tile
 // the output buffer exactly, produce identical bytes regardless of
 // execution order, and differ from the default stream family.

@@ -22,10 +22,10 @@ func TestTelemetryDoesNotPerturbRNG(t *testing.T) {
 		SectorVariance: 1.39, Seed: 99,
 	}
 
-	run := func(rec *telemetry.Recorder, gated bool) *RunResult {
+	run := func(rec *telemetry.Recorder, hardware bool) *RunResult {
 		cfg := base
 		cfg.Telemetry = rec
-		cfg.GatedCompute = gated
+		cfg.Hardware = hardware
 		eng, err := NewEngine(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -37,20 +37,21 @@ func TestTelemetryDoesNotPerturbRNG(t *testing.T) {
 		return r
 	}
 
-	// Both compute paths must be telemetry-transparent: the gated path
-	// because any hook drawing a word would shift the stream, the block
-	// path additionally because its per-chunk counter bookkeeping reads
-	// the generator's counters mid-sector.
-	for _, gated := range []bool{true, false} {
-		plain := run(nil, gated)
-		traced := run(telemetry.New(1<<12), gated)
+	// Both execution paths must be telemetry-transparent: the Hardware
+	// path's gated compute because any hook drawing a word would shift
+	// the stream, the Fused path's block compute additionally because
+	// its per-chunk counter bookkeeping reads the generator's counters
+	// mid-sector.
+	for _, hardware := range []bool{true, false} {
+		plain := run(nil, hardware)
+		traced := run(telemetry.New(1<<12), hardware)
 
 		if len(plain.Data) != len(traced.Data) {
-			t.Fatalf("gated=%v: data length changed under telemetry: %d vs %d", gated, len(plain.Data), len(traced.Data))
+			t.Fatalf("hardware=%v: data length changed under telemetry: %d vs %d", hardware, len(plain.Data), len(traced.Data))
 		}
 		for i := range plain.Data {
 			if plain.Data[i] != traced.Data[i] {
-				t.Fatalf("gated=%v: value %d perturbed by telemetry: %v (off) vs %v (on)", gated, i, plain.Data[i], traced.Data[i])
+				t.Fatalf("hardware=%v: value %d perturbed by telemetry: %v (off) vs %v (on)", hardware, i, plain.Data[i], traced.Data[i])
 			}
 		}
 	}
@@ -67,8 +68,8 @@ func TestTelemetryCountersPopulated(t *testing.T) {
 		WorkItems: 2, Scenarios: 1000, Sectors: 1,
 		SectorVariance: 1.39, Seed: 5, Telemetry: rec,
 		// membus.bursts is a Transfer-engine counter; run the
-		// hardware-shaped streamed execution to populate it.
-		StreamedTransport: true,
+		// Hardware dataflow to populate it.
+		Hardware: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -108,20 +109,20 @@ func TestTelemetryCountersPopulated(t *testing.T) {
 	}
 }
 
-// TestTelemetryBlockCounters verifies the block compute path publishes
-// its bulk-fill accounting: the number of CycleBlock batches and the
-// total Mersenne-Twister words those batches consumed. The word count
-// must cover at least the always-enabled MT0 draws of every bulk cycle,
-// and the counters must vanish when GatedCompute forces the one-word
-// path.
+// TestTelemetryBlockCounters verifies the Fused path's block compute
+// publishes its bulk-fill accounting: the number of CycleBlock batches
+// and the total Mersenne-Twister words those batches consumed. The word
+// count must cover at least the always-enabled MT0 draws of every bulk
+// cycle, and the counters must vanish on the Hardware path, whose
+// compute is the gated one-word loop.
 func TestTelemetryBlockCounters(t *testing.T) {
-	run := func(gated bool) map[string]*telemetry.Counter {
+	run := func(hardware bool) map[string]*telemetry.Counter {
 		rec := telemetry.New(1 << 12)
 		eng, err := NewEngine(Config{
 			Transform: normal.MarsagliaBray, MTParams: mt.MT19937Params,
 			WorkItems: 2, Scenarios: 4000, Sectors: 2,
 			SectorVariance: 1.39, Seed: 5, Telemetry: rec,
-			GatedCompute: gated,
+			Hardware: hardware,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -150,10 +151,10 @@ func TestTelemetryBlockCounters(t *testing.T) {
 		}
 	}
 
-	gated := run(true)
+	hw := run(true)
 	for wid := 0; wid < 2; wid++ {
-		if c, ok := gated[fmt.Sprintf("rng.gamma[%d].block-fills", wid)]; ok && c.Value() != 0 {
-			t.Fatalf("work-item %d: gated run recorded %d block fills", wid, c.Value())
+		if c, ok := hw[fmt.Sprintf("rng.gamma[%d].block-fills", wid)]; ok && c.Value() != 0 {
+			t.Fatalf("work-item %d: Hardware run recorded %d block fills", wid, c.Value())
 		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"github.com/decwi/decwi/internal/rng/mt"
 	"github.com/decwi/decwi/internal/rng/normal"
-	"github.com/decwi/decwi/internal/telemetry"
 )
 
 func testPortfolio(t *testing.T, sectors, obligors int) *Portfolio {
@@ -428,66 +427,5 @@ func TestRiskContributions(t *testing.T) {
 	bad.Obligors[0].PD = 0
 	if _, err := bad.RiskContributions(); err == nil {
 		t.Fatal("invalid portfolio should fail")
-	}
-}
-
-// TestSimulateMCPipeEquivalence: the gamma→loss pipe (sector variables
-// drunk through gamma.Pipe's candidate-block batches) must be an exact
-// reformulation of gated per-draw consumption — identical losses,
-// identical sample moments, identical sector means, and identical
-// generator telemetry down to the rejection-trip histograms. The
-// scenario counts cover quotas below one candidate block, exactly one
-// block, one past the boundary, and many blocks plus a tail.
-func TestSimulateMCPipeEquivalence(t *testing.T) {
-	p := testPortfolio(t, 3, 12)
-	for _, scenarios := range []int{1, 63, 64, 65, 700} {
-		run := func(gated bool) (*MCResult, *telemetry.Recorder) {
-			rec := telemetry.New(64)
-			res, err := SimulateMC(p, MCConfig{
-				Scenarios: scenarios,
-				Transform: normal.MarsagliaBray, MTParams: mt.MT521Params,
-				Seed: 0x90E1A055, GatedSectors: gated, Telemetry: rec,
-			})
-			if err != nil {
-				t.Fatalf("scenarios=%d gated=%v: %v", scenarios, gated, err)
-			}
-			return res, rec
-		}
-		gatedRes, gatedRec := run(true)
-		pipeRes, pipeRec := run(false)
-		for s := range gatedRes.Losses {
-			if gatedRes.Losses[s] != pipeRes.Losses[s] {
-				t.Fatalf("scenarios=%d Losses[%d]: gated %x, piped %x",
-					scenarios, s, gatedRes.Losses[s], pipeRes.Losses[s])
-			}
-		}
-		if gatedRes.MeanLoss != pipeRes.MeanLoss || gatedRes.LossVar != pipeRes.LossVar {
-			t.Fatalf("scenarios=%d moments diverge: gated (%g, %g), piped (%g, %g)",
-				scenarios, gatedRes.MeanLoss, gatedRes.LossVar, pipeRes.MeanLoss, pipeRes.LossVar)
-		}
-		for k := range gatedRes.SectorMean {
-			if gatedRes.SectorMean[k] != pipeRes.SectorMean[k] {
-				t.Fatalf("scenarios=%d SectorMean[%d]: gated %x, piped %x",
-					scenarios, k, gatedRes.SectorMean[k], pipeRes.SectorMean[k])
-			}
-		}
-		// The pipe's refill discipline may not disturb the per-sector
-		// rejection accounting: every trip histogram must match bucket
-		// for bucket.
-		piped := map[string]telemetry.HistogramSnapshot{}
-		for _, h := range pipeRec.Histograms() {
-			piped[h.Name()] = h.Snapshot()
-		}
-		for _, h := range gatedRec.Histograms() {
-			g := h.Snapshot()
-			pp, ok := piped[h.Name()]
-			if !ok {
-				t.Fatalf("scenarios=%d: piped run missing histogram %q", scenarios, h.Name())
-			}
-			if g.Count != pp.Count || g.Sum != pp.Sum || g.Buckets != pp.Buckets {
-				t.Fatalf("scenarios=%d histogram %q diverges: gated count=%d sum=%d, piped count=%d sum=%d",
-					scenarios, h.Name(), g.Count, g.Sum, pp.Count, pp.Sum)
-			}
-		}
 	}
 }

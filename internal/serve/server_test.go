@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"runtime"
 	"strings"
 	"testing"
@@ -413,6 +414,52 @@ func TestServerResultDigestStability(t *testing.T) {
 			t.Fatalf("download %d body digest %s != header %s", i, got, st.SHA256)
 		}
 	}
+}
+
+// TestServerGoldenDigest: the replay-tuple bytes are pinned absolutely
+// over HTTP — one tuple of the repository's golden corpus, submitted
+// as a generate job, must come back with exactly the committed digest
+// in its X-Decwi-Sha256 header.
+func TestServerGoldenDigest(t *testing.T) {
+	const name = "config2/offset-4099"
+	b, err := os.ReadFile("../../testdata/golden_digests.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var corpus struct {
+		Generate []struct {
+			Name         string `json:"name"`
+			Config       int    `json:"config"`
+			Scenarios    int64  `json:"scenarios"`
+			Sectors      int    `json:"sectors"`
+			Seed         uint64 `json:"seed"`
+			StreamOffset uint64 `json:"stream_offset"`
+			SHA256       string `json:"sha256"`
+		} `json:"generate"`
+	}
+	if err := json.Unmarshal(b, &corpus); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range corpus.Generate {
+		if e.Name != name {
+			continue
+		}
+		ts, _ := testServer(t, Config{Executors: 1})
+		st, _ := runJobOverHTTP(t, ts, "/v1/generate", JobSpec{
+			Config: e.Config, Seed: e.Seed, Scenarios: e.Scenarios, Sectors: e.Sectors,
+			StreamOffset: e.StreamOffset, Workers: 2,
+		})
+		r, err := http.Get(ts.URL + "/v1/jobs/" + st.ID + "/result")
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Body.Close()
+		if got := r.Header.Get("X-Decwi-Sha256"); got != e.SHA256 {
+			t.Fatalf("%s: X-Decwi-Sha256 %s, golden %s", name, got, e.SHA256)
+		}
+		return
+	}
+	t.Fatalf("golden corpus has no %q entry", name)
 }
 
 // TestServerDrainUnderRealLoad is the end-to-end drain acceptance test

@@ -18,9 +18,11 @@ import (
 //   - counters are appended as 'C' samples at the end of their
 //     domain's timeline so their final values are visible in the UI.
 
-// chromeEvent is one trace_event record. Fields follow the trace_event
-// format specification; omitempty keeps instants compact.
-type chromeEvent struct {
+// ChromeEvent is one trace_event record. Fields follow the trace_event
+// format specification; omitempty keeps instants compact. It is shared
+// with internal/telemetry/flight, which renders job traces in the same
+// format.
+type ChromeEvent struct {
 	Name  string         `json:"name"`
 	Phase string         `json:"ph"`
 	TS    int64          `json:"ts"`
@@ -32,9 +34,9 @@ type chromeEvent struct {
 	Args  map[string]any `json:"args,omitempty"`
 }
 
-// chromeTrace is the top-level wrapper object.
-type chromeTrace struct {
-	TraceEvents     []chromeEvent `json:"traceEvents"`
+// ChromeTraceFile is the top-level wrapper object.
+type ChromeTraceFile struct {
+	TraceEvents     []ChromeEvent `json:"traceEvents"`
 	DisplayTimeUnit string        `json:"displayTimeUnit"`
 }
 
@@ -51,18 +53,18 @@ func (r *Recorder) ChromeTrace() ([]byte, error) {
 	events := r.Events()
 	tracks := r.Tracks()
 
-	var out []chromeEvent
+	var out []ChromeEvent
 	// Metadata: name the per-domain processes and per-track threads.
 	seenDomain := map[Domain]bool{}
 	for _, t := range tracks {
 		if !seenDomain[t.domain] {
 			seenDomain[t.domain] = true
-			out = append(out, chromeEvent{
+			out = append(out, ChromeEvent{
 				Name: "process_name", Phase: "M", PID: domainPID(t.domain),
 				Args: map[string]any{"name": t.domain.String()},
 			})
 		}
-		out = append(out, chromeEvent{
+		out = append(out, ChromeEvent{
 			Name: "thread_name", Phase: "M", PID: domainPID(t.domain), TID: int(t.id),
 			Args: map[string]any{"name": t.name},
 		})
@@ -80,7 +82,7 @@ func (r *Recorder) ChromeTrace() ([]byte, error) {
 		if lbl := r.labelName(ev.Label); lbl != "" {
 			name = lbl
 		}
-		ce := chromeEvent{
+		ce := ChromeEvent{
 			Name: name,
 			TS:   ev.TS,
 			PID:  domainPID(t.domain),
@@ -113,13 +115,13 @@ func (r *Recorder) ChromeTrace() ([]byte, error) {
 		if c.Unit() == "cycles" {
 			d = Cycles
 		}
-		out = append(out, chromeEvent{
+		out = append(out, ChromeEvent{
 			Name: c.Name(), Phase: "C", TS: horizon[d], PID: domainPID(d),
 			Args: map[string]any{c.Unit(): c.Value()},
 		})
 	}
 
-	return json.MarshalIndent(chromeTrace{TraceEvents: out, DisplayTimeUnit: "ms"}, "", " ")
+	return json.MarshalIndent(ChromeTraceFile{TraceEvents: out, DisplayTimeUnit: "ms"}, "", " ")
 }
 
 // WriteChromeTrace writes the trace_event JSON to w.

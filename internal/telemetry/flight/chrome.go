@@ -5,11 +5,13 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"github.com/decwi/decwi/internal/telemetry"
 )
 
 // This file renders one job trace in the Chrome trace_event JSON format
-// (the same "JSON Array Format" internal/telemetry's ChromeTrace
-// emits), so `decwi-trace -job` can turn a /debug/jobs/{id} body into a
+// (the same "JSON Array Format" and the same telemetry.ChromeEvent
+// records internal/telemetry's ChromeTrace emits), so `decwi-trace -job` can turn a /debug/jobs/{id} body into a
 // file chrome://tracing and Perfetto load directly. Layout:
 //
 //   - one trace "process" (pid 1) named after the job;
@@ -19,25 +21,6 @@ import (
 //   - each engine worker's chunk spans ("chunk[w]") get their own tid,
 //     so the work-stealing execution renders as parallel lanes under
 //     the engine-run span.
-
-// chromeEvent mirrors telemetry.chromeEvent; duplicated here because
-// the field set is tiny and the flight package must not depend on the
-// recorder internals.
-type chromeEvent struct {
-	Name  string         `json:"name"`
-	Phase string         `json:"ph"`
-	TS    int64          `json:"ts"`
-	Dur   int64          `json:"dur,omitempty"`
-	PID   int            `json:"pid"`
-	TID   int            `json:"tid"`
-	Cat   string         `json:"cat,omitempty"`
-	Args  map[string]any `json:"args,omitempty"`
-}
-
-type chromeTrace struct {
-	TraceEvents     []chromeEvent `json:"traceEvents"`
-	DisplayTimeUnit string        `json:"displayTimeUnit"`
-}
 
 // serveTID is the thread id of the admission/scheduler span tree;
 // chunk spans land on serveTID+1+worker.
@@ -62,7 +45,7 @@ func (t TraceJSON) ChromeTrace() ([]byte, error) {
 	if procName == "" {
 		procName = t.TraceID
 	}
-	out := []chromeEvent{{
+	out := []telemetry.ChromeEvent{{
 		Name: "process_name", Phase: "M", PID: 1,
 		Args: map[string]any{"name": fmt.Sprintf("job %s (trace %s, lane %s, %s)",
 			procName, t.TraceID, t.Lane, t.State)},
@@ -78,7 +61,7 @@ func (t TraceJSON) ChromeTrace() ([]byte, error) {
 			tid = serveTID + 1 + w
 			if !workers[w] {
 				workers[w] = true
-				out = append(out, chromeEvent{
+				out = append(out, telemetry.ChromeEvent{
 					Name: "thread_name", Phase: "M", PID: 1, TID: tid,
 					Args: map[string]any{"name": fmt.Sprintf("engine worker %d", w)},
 				})
@@ -103,11 +86,11 @@ func (t TraceJSON) ChromeTrace() ([]byte, error) {
 			// clamp to 1us so instants stay clickable.
 			dur = 1
 		}
-		out = append(out, chromeEvent{
+		out = append(out, telemetry.ChromeEvent{
 			Name: s.Name, Phase: "X", TS: s.StartUS, Dur: dur,
 			PID: 1, TID: tid, Cat: "serve",
 		})
 		out[len(out)-1].Args = args
 	}
-	return json.MarshalIndent(chromeTrace{TraceEvents: out, DisplayTimeUnit: "ms"}, "", " ")
+	return json.MarshalIndent(telemetry.ChromeTraceFile{TraceEvents: out, DisplayTimeUnit: "ms"}, "", " ")
 }

@@ -40,8 +40,8 @@ func TestMetricNamingLint(t *testing.T) {
 	sess.SetTelemetry(rec)
 	if _, err := sess.EnqueueGamma(decwi.Config2, decwi.GenerateOptions{
 		Scenarios: 4096, Sectors: 2, Seed: 3,
-		// Streamed so the stream.*/membus.* names stay under the lint.
-		StreamedTransport: true,
+		// Hardware so the stream.*/membus.* names stay under the lint.
+		Hardware: true,
 	}, false); err != nil {
 		t.Fatal(err)
 	}

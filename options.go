@@ -6,7 +6,6 @@ import (
 
 	"github.com/decwi/decwi/internal/core"
 	"github.com/decwi/decwi/internal/perf"
-	"github.com/decwi/decwi/internal/rng"
 )
 
 // maxIntraItemSubstreams bounds the substream fan-out per work-item:
@@ -47,22 +46,19 @@ func normalizeGenerate(k perf.KernelConfig, opt GenerateOptions) (GenerateOption
 // nowhere else.
 func engineConfig(k perf.KernelConfig, opt GenerateOptions) core.Config {
 	return core.Config{
-		Transform:         k.Transform,
-		MTParams:          k.MTParams,
-		WorkItems:         opt.WorkItems,
-		Scenarios:         opt.Scenarios,
-		Sectors:           opt.Sectors,
-		SectorVariance:    opt.Variance,
-		SectorVariances:   opt.Variances,
-		BurstRNs:          opt.BurstRNs,
-		Seed:              opt.Seed,
-		StreamOffset:      opt.StreamOffset,
-		SequentialSeek:    opt.SequentialSeek,
-		PerValueTransport: opt.PerValueTransport,
-		GatedCompute:      opt.GatedCompute,
-		StreamedTransport: opt.StreamedTransport,
-		BreakID:           opt.BreakID,
-		Telemetry:         opt.Telemetry,
+		Transform:       k.Transform,
+		MTParams:        k.MTParams,
+		WorkItems:       opt.WorkItems,
+		Scenarios:       opt.Scenarios,
+		Sectors:         opt.Sectors,
+		SectorVariance:  opt.Variance,
+		SectorVariances: opt.Variances,
+		BurstRNs:        opt.BurstRNs,
+		Seed:            opt.Seed,
+		StreamOffset:    opt.StreamOffset,
+		Hardware:        opt.Hardware,
+		BreakID:         opt.BreakID,
+		Telemetry:       opt.Telemetry,
 	}
 }
 
@@ -96,6 +92,9 @@ func normalizeParallel(k perf.KernelConfig, opt ParallelOptions) (ParallelOption
 		return opt, 0, err
 	}
 	opt.GenerateOptions = g
+	if opt.Hardware {
+		return opt, 0, fmt.Errorf("decwi: Hardware is a monolithic dataflow run; use Generate (GenerateParallel always executes the Fused path)")
+	}
 	if opt.WorkItems < 1 {
 		return opt, 0, fmt.Errorf("decwi: work-items %d must be ≥ 1", opt.WorkItems)
 	}
@@ -108,10 +107,6 @@ func normalizeParallel(k perf.KernelConfig, opt ParallelOptions) (ParallelOption
 			return opt, 0, fmt.Errorf("decwi: substreams %d exceeds the cap %d", opt.IntraItemSubstreams, maxIntraItemSubstreams)
 		case opt.BreakID != 0:
 			return opt, 0, fmt.Errorf("decwi: substreams are incompatible with BreakID %d (delayed-exit overshoot is a whole-work-item contract)", opt.BreakID)
-		case opt.GatedCompute:
-			return opt, 0, fmt.Errorf("decwi: substreams are incompatible with GatedCompute (lane execution is already the gated loop; per-work-item cycle traces would be meaningless)")
-		case opt.SequentialSeek:
-			return opt, 0, fmt.Errorf("decwi: substreams are incompatible with SequentialSeek (lane offsets are %d words apart; stepping there sequentially is the O(n) cost this mode removes)", rng.SubstreamStride)
 		case opt.Shards != 0 || opt.ChunkWorkItems != 0:
 			return opt, 0, fmt.Errorf("decwi: substreams fix the scheduling unit to (work-item, lane); Shards/ChunkWorkItems must stay 0")
 		}

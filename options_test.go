@@ -134,6 +134,15 @@ func TestNormalizeParallel(t *testing.T) {
 			in:      ParallelOptions{GenerateOptions: GenerateOptions{Sectors: 1}},
 			wantErr: true,
 		},
+		{
+			// The Hardware dataflow is one monolithic run; chunked
+			// execution is always the Fused path.
+			name: "hardware rejected",
+			in: ParallelOptions{GenerateOptions: GenerateOptions{
+				Scenarios: 100, Sectors: 1, Hardware: true,
+			}},
+			wantErr: true,
+		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			got, chunks, err := normalizeParallel(k, tc.in)
@@ -174,7 +183,7 @@ func TestEngineConfigForwardsEveryKnob(t *testing.T) {
 	opt := GenerateOptions{
 		Scenarios: 7, Sectors: 3, Variance: 2.2, Variances: []float64{1, 2, 3},
 		WorkItems: 5, BurstRNs: 128, Seed: 77,
-		PerValueTransport: true, GatedCompute: true, BreakID: 4,
+		StreamOffset: 99, Hardware: true, BreakID: 4,
 	}
 	cfg := engineConfig(k, opt)
 	if cfg.Transform != k.Transform || cfg.MTParams != k.MTParams {
@@ -183,7 +192,7 @@ func TestEngineConfigForwardsEveryKnob(t *testing.T) {
 	if cfg.WorkItems != 5 || cfg.Scenarios != 7 || cfg.Sectors != 3 ||
 		cfg.SectorVariance != 2.2 || len(cfg.SectorVariances) != 3 ||
 		cfg.BurstRNs != 128 || cfg.Seed != 77 ||
-		!cfg.PerValueTransport || !cfg.GatedCompute || cfg.BreakID != 4 {
+		cfg.StreamOffset != 99 || !cfg.Hardware || cfg.BreakID != 4 {
 		t.Fatalf("engine config dropped a knob: %+v", cfg)
 	}
 }

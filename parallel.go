@@ -18,11 +18,10 @@ import (
 // every (Shards, Workers, ChunkWorkItems) choice yields output bitwise-
 // identical to Generate with the same GenerateOptions.
 //
-// Chunk execution is always the fused pipe (candidate blocks written
-// directly at their device-layout offsets); the embedded
-// StreamedTransport/PerValueTransport knobs select a transport only for
-// the monolithic Generate path and are ignored here, exactly as before
-// the fused default — the bytes do not depend on either.
+// Chunk execution is always the Fused path (candidate blocks written
+// directly at their device-layout offsets). The embedded Hardware mode
+// is a monolithic dataflow run, so GenerateParallel rejects it; the
+// bytes are the same either way, and Generate runs it.
 type ParallelOptions struct {
 	GenerateOptions
 	// Shards is the target chunk count the work-item axis is split
@@ -47,8 +46,8 @@ type ParallelOptions struct {
 	// scheduling-independent but belongs to a different stream family
 	// than Generate: unlike the other knobs, this one changes the bytes.
 	// 0 and 1 disable the mode and stay byte-identical to Generate.
-	// Incompatible with BreakID > 0, GatedCompute, SequentialSeek and
-	// explicit Shards/ChunkWorkItems (normalizeParallel rejects those).
+	// Incompatible with BreakID > 0 and explicit Shards/ChunkWorkItems
+	// (normalizeParallel rejects those).
 	IntraItemSubstreams int
 	// Trace, when non-nil, receives one externally-timed "chunk[w]" span
 	// (w = executing worker) per completed chunk, parented under

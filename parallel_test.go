@@ -121,13 +121,14 @@ func TestGenerateParallelProperty(t *testing.T) {
 			Sectors:   int(sectors%3) + 1,
 			Seed:      seed,
 			BreakID:   int(seed % 3),
-			// Alternate the sequential reference between the fused pipe
-			// and the streamed dataflow: the parallel path always runs
-			// fused chunks, so half the sweep also cross-checks the two
-			// transports against each other.
-			StreamedTransport: seed%2 == 1,
 		}
-		seq, err := Generate(c, opt)
+		// Alternate the sequential reference between the Fused path and
+		// the Hardware dataflow: the parallel path always runs Fused
+		// chunks, so half the sweep also cross-checks the two execution
+		// paths against each other.
+		ref := opt
+		ref.Hardware = seed%2 == 1
+		seq, err := Generate(c, ref)
 		if err != nil {
 			t.Logf("Generate: %v", err)
 			return false

@@ -21,25 +21,30 @@ go test -race ./...
 echo "== bounds-check elimination in marked kernel regions"
 sh scripts/bce_check.sh
 
-# Block/gated compute equivalence under the race detector: the block
-# path shares sync.Pool scratch across work-item goroutines, so its
-# bitwise-equivalence proof must also hold with full synchronization
-# checking (already part of the tree-wide -race run above, but named
-# here so a narrowed test filter can never drop it).
-echo "== block-compute equivalence under -race"
-go test -race -run 'TestBlockCompute|TestCycleBlock|TestFillUint32|TestPropertyFillInterleaving' \
+# Fused-vs-Hardware equivalence under the race detector: the Fused
+# path's block compute shares sync.Pool scratch across work-item
+# goroutines and the Hardware dataflow runs its GammaRNG/Transfer
+# processes concurrently, so the one bitwise-equivalence proof between
+# them (plus the kernel-level block-vs-gated oracles) must also hold
+# with full synchronization checking (already part of the tree-wide
+# -race run above, but named here so a narrowed test filter can never
+# drop it).
+echo "== Fused-vs-Hardware & block-compute equivalence under -race"
+go test -race -run 'TestFusedRunEquivalence|TestBlockCompute|TestBatchedTransport|TestCycleBlock|TestFillUint32|TestPropertyFillInterleaving' \
     ./internal/core ./internal/rng/gamma ./internal/rng/mt
 
-# Fused-pipe equivalence under the race detector: the fused transport
-# writes candidate blocks straight into the shared device buffer, and
-# the gamma→loss pipe batches the creditrisk sector draws, so their
-# bitwise-equivalence proofs (streamed vs fused Run, gated vs piped
-# SimulateMC, lane block phase vs gated walk) must also hold with full
-# synchronization checking.
-echo "== fused-pipe & gamma→loss pipe equivalence under -race"
+# Fused-path, gamma→loss pipe and golden-corpus checks under the race
+# detector: the Fused path writes candidate blocks straight into the
+# shared device buffer, and the gamma→loss pipe batches the creditrisk
+# sector draws, so their bitwise proofs (Hardware vs Fused Run, gated vs
+# piped draws, lane block phase vs gated walk) and the absolute golden
+# digests (every generate entry point, SimulateMC losses, the serve
+# X-Decwi-Sha256 header) must also hold with full synchronization
+# checking.
+echo "== fused-pipe, gamma→loss pipe & golden corpus under -race"
 go test -race -count=1 \
-    -run 'TestFused|TestPropertyFused|TestRunItemPartBlockEquivalence|TestSimulateMCPipeEquivalence|TestPipe|TestConsumeBlock' \
-    ./internal/core ./internal/creditrisk ./internal/rng/gamma
+    -run 'TestFused|TestPropertyFused|TestRunItemPartBlockEquivalence|TestPipe|TestConsumeBlock|TestGolden|TestServerGoldenDigest' \
+    ./internal/core ./internal/rng/gamma ./internal/serve .
 
 # Serve fast-lane correctness under the race detector: cache semantics
 # (eviction, per-tenant accounting, hit-after-evict), singleflight
@@ -66,13 +71,20 @@ go test -race -count=1 \
     ./internal/telemetry/metricsrv ./internal/serve .
 
 # Jump-ahead correctness under the race detector: the property suite
-# (Jump(a+b) == Jump(a);Jump(b), Jump ≡ n×Advance, golden vectors) plus
-# the stream-seek and substream equivalences. Named so a narrowed filter
-# can never drop the tentpole's bitwise-exactness proof.
+# (Jump(a+b) == Jump(a);Jump(b), Jump ≡ n×Advance, golden vectors, the
+# FuzzJumpAdditive seed corpus) plus the stream-seek and substream
+# equivalences. Named so a narrowed filter can never drop the
+# bitwise-exactness proof of the only seek path.
 echo "== jump-ahead & substream equivalence under -race"
 go test -race -count=1 \
-    -run 'TestJump|TestOffset|TestCheckpoint|TestDecorrelate|TestStreamOffset|TestRunItemPart|TestSubstream' \
-    ./internal/rng/mt ./internal/rng ./internal/rng/gamma ./internal/core
+    -run 'TestJump|FuzzJumpAdditive|TestOffset|TestCheckpoint|TestDecorrelate|TestGenerateParallelStreamOffset|TestRunItemPart|TestSubstream' \
+    ./internal/rng/mt ./internal/rng ./internal/rng/gamma ./internal/core .
+
+# Fuzz smoke of the only seek path: ten seconds of coverage-guided
+# inputs for Jump(a);Jump(b) == Jump(a+b) and Jump(n) == n×Advance on
+# both twister parameter sets (one worker, to stay small).
+echo "== FuzzJumpAdditive smoke (10s)"
+go test -run '^$' -fuzz '^FuzzJumpAdditive$' -fuzztime 10s -parallel 1 ./internal/rng/mt
 
 # Allocation gates (meaningful only without -race, whose instrumentation
 # allocates): the steady-state block loops must not allocate at all, and
@@ -93,22 +105,12 @@ GOMAXPROCS=1 go test -race -count=1 \
 GOMAXPROCS=4 go test -race -count=1 \
     -run 'TestGenerateParallel|TestRunChunk|TestNormalize' . ./internal/core
 
-# Jump-vs-sequential seek smoke through the CLI: the same (seed, offset)
-# window generated with the O(log n) jump and with the O(n) word-by-word
-# walk must be byte-identical, on a single-core and a multicore
-# scheduler. This is the end-to-end form of the Jump ≡ n×Advance proof.
-echo "== gammagen jump-vs-sequential seek equivalence (offset 4099, GOMAXPROCS 1 and 4)"
-seekdir="$(mktemp -d)"
-trap 'rm -rf "$seekdir"' EXIT
-go build -o "$seekdir/gammagen" ./cmd/decwi-gammagen
-for procs in 1 4; do
-    GOMAXPROCS=$procs "$seekdir/gammagen" -config 2 -n 200000 -seed 7 -offset 4099 \
-        -validate=false -out "$seekdir/jump.$procs.bin"
-    GOMAXPROCS=$procs "$seekdir/gammagen" -config 2 -n 200000 -seed 7 -offset 4099 -jump=false \
-        -validate=false -out "$seekdir/seq.$procs.bin"
-    cmp "$seekdir/jump.$procs.bin" "$seekdir/seq.$procs.bin"
-done
-cmp "$seekdir/jump.1.bin" "$seekdir/jump.4.bin"
+# Golden bytes through the CLI: decwi-gammagen's payload for one
+# replay tuple at stream offset 4099 must hash to the committed golden
+# digest on a single-core and a multicore scheduler. This is the
+# end-to-end, absolute form of the byte contract.
+echo "== gammagen golden bytes (offset 4099, GOMAXPROCS 1 and 4)"
+sh scripts/golden_check.sh
 
 # Benchmark smoke run: one iteration each, so the burst-transport,
 # sharded-generation and compute-path benchmarks can never silently rot.
