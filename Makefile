@@ -52,17 +52,22 @@ bce-check:
 golden-check:
 	sh scripts/golden_check.sh
 
-# Ten seconds of coverage-guided fuzzing of the only stream-seek path
-# (Jump additivity and Jump ≡ n×Advance), one worker.
+# Ten seconds of coverage-guided fuzzing each, one worker: the only
+# stream-seek path (Jump additivity and Jump ≡ n×Advance), and the
+# squeeze-first Poisson sampler against its exact-exp Knuth oracle.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzJumpAdditive$$' -fuzztime 10s -parallel 1 ./internal/rng/mt
+	$(GO) test -run '^$$' -fuzz '^FuzzPoisson$$' -fuzztime 10s -parallel 1 ./internal/creditrisk
 
-# One-iteration smoke run of the burst-transport, sharded-generation and
-# compute-path benchmarks, so they can never silently rot.
+# One-iteration smoke run of the burst-transport, sharded-generation,
+# compute-path and CreditRisk+ benchmarks, so they can never silently
+# rot.
 bench-smoke:
 	$(GO) test -run '^$$' -bench BenchmarkBatchedStream -benchtime 1x ./internal/hls
 	$(GO) test -run '^$$' -bench BenchmarkGenerateParallel -benchtime 1x .
 	$(GO) test -run '^$$' -bench BenchmarkBlockCompute -benchtime 1x .
+	$(GO) test -run '^$$' -bench '^BenchmarkPortfolioRisk$$' -benchtime 1x .
+	$(GO) test -run '^$$' -bench '^BenchmarkSimulateMC$$' -benchtime 1x ./internal/creditrisk
 	$(GO) test -run '^$$' -bench BenchmarkHistogramRecord -benchtime 1x ./internal/telemetry
 
 # Live metrics smoke: scrape a running decwi-gammagen -http server and

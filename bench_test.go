@@ -490,12 +490,14 @@ func BenchmarkPortfolioRisk(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	const scenarios = 2000
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := decwi.PortfolioRisk(p, decwi.Config2, 2000, 0, uint64(i+1)); err != nil {
+		if _, err := decwi.PortfolioRisk(p, decwi.Config2, scenarios, 0, uint64(i+1)); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(scenarios)*float64(b.N)/b.Elapsed().Seconds(), "scenarios/s")
 }
 
 // BenchmarkAblationStreamDepth sweeps the hls::stream FIFO depth, the

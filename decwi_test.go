@@ -387,6 +387,42 @@ func TestCoSimulatePublic(t *testing.T) {
 	}
 }
 
+// TestPortfolioRiskPanjerCap: a band unit whose Panjer truncation is
+// past MaxPanjerUnits, or past the int range, is an error before any
+// allocation, and UniformPanjerUnits — the closed form a server
+// validates with — agrees with the moments of the built portfolio.
+func TestPortfolioRiskPanjerCap(t *testing.T) {
+	for _, shape := range []struct {
+		sectors, n int
+		v, pd, e   float64
+	}{{3, 30, 1.39, 0.02, 100}, {4, 50, 3.1, 0.3, 1}, {7, 5, 0.5, 0.01, 2.5}} {
+		p, err := decwi.NewUniformPortfolio(shape.sectors, shape.v, shape.n, shape.pd, shape.e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tail := p.ExpectedLoss() + 20*math.Sqrt(p.LossVariance())
+		for _, unit := range []float64{100, 1, tail / 1000, tail / (decwi.MaxPanjerUnits - 1)} {
+			got, err := decwi.UniformPanjerUnits(shape.sectors, shape.v, shape.n, shape.pd, shape.e, unit)
+			if err != nil {
+				t.Fatalf("%+v unit %g: %v", shape, unit, err)
+			}
+			// The two moment computations round differently, which
+			// may move an exact integer quotient by one unit.
+			if want := max(int(tail/unit), 64); got < want-1 || got > want+1 {
+				t.Fatalf("%+v unit %g: closed form %d units, built portfolio %d", shape, unit, got, want)
+			}
+		}
+		for _, unit := range []float64{tail / (2 * decwi.MaxPanjerUnits), 1e-300} {
+			if _, err := decwi.UniformPanjerUnits(shape.sectors, shape.v, shape.n, shape.pd, shape.e, unit); err == nil {
+				t.Fatalf("%+v unit %g: closed form accepted an oversized truncation", shape, unit)
+			}
+			if _, err := decwi.PortfolioRisk(p, decwi.Config2, 10, unit, 1); err == nil {
+				t.Fatalf("%+v unit %g: PortfolioRisk accepted an oversized truncation", shape, unit)
+			}
+		}
+	}
+}
+
 func TestPortfolioRiskPublic(t *testing.T) {
 	p, err := decwi.NewUniformPortfolio(3, 1.39, 30, 0.02, 100)
 	if err != nil {

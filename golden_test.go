@@ -53,9 +53,14 @@ type goldenMC struct {
 	SHA256    string  `json:"sha256"`
 }
 
+// name labels an MC entry by the fields that set it apart.
+func (e goldenMC) name() string {
+	return fmt.Sprintf("config%d/pd%g-var%g", e.Config, e.PD, e.Variance)
+}
+
 type goldenCorpus struct {
 	Generate   []goldenGenerate `json:"generate"`
-	SimulateMC goldenMC         `json:"simulate_mc"`
+	SimulateMC []goldenMC       `json:"simulate_mc"`
 }
 
 func loadGolden(t *testing.T) goldenCorpus {
@@ -68,7 +73,7 @@ func loadGolden(t *testing.T) goldenCorpus {
 	if err := json.Unmarshal(b, &g); err != nil {
 		t.Fatalf("%s: %v", goldenPath, err)
 	}
-	if len(g.Generate) == 0 || g.SimulateMC.SHA256 == "" {
+	if len(g.Generate) == 0 || len(g.SimulateMC) == 0 {
 		t.Fatalf("%s: empty corpus", goldenPath)
 	}
 	return g
@@ -143,25 +148,29 @@ func TestGoldenDigests(t *testing.T) {
 	}
 }
 
-// TestGoldenSimulateMC pins the CreditRisk+ Monte-Carlo losses, whose
-// sector variables come through gamma.Pipe.
+// TestGoldenSimulateMC pins the CreditRisk+ Monte-Carlo losses of every
+// MC entry: sector variables come through gamma.Pipe, default counts
+// through the squeeze-first Poisson sampler on its block-filled feed.
 func TestGoldenSimulateMC(t *testing.T) {
-	e := loadGolden(t).SimulateMC
-	k, err := ConfigID(e.Config).kernel()
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := NewUniformPortfolio(e.Sectors, e.Variance, e.Obligors, e.PD, e.Exposure)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := creditrisk.SimulateMC(p, creditrisk.MCConfig{
-		Scenarios: e.Scenarios, Transform: k.Transform, MTParams: k.MTParams, Seed: e.Seed,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := digestFloat64(res.Losses); got != e.SHA256 {
-		t.Fatalf("SimulateMC losses sha256 %s, golden %s", got, e.SHA256)
+	for _, e := range loadGolden(t).SimulateMC {
+		t.Run(e.name(), func(t *testing.T) {
+			k, err := ConfigID(e.Config).kernel()
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := NewUniformPortfolio(e.Sectors, e.Variance, e.Obligors, e.PD, e.Exposure)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := creditrisk.SimulateMC(p, creditrisk.MCConfig{
+				Scenarios: e.Scenarios, Transform: k.Transform, MTParams: k.MTParams, Seed: e.Seed,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := digestFloat64(res.Losses); got != e.SHA256 {
+				t.Fatalf("SimulateMC losses sha256 %s, golden %s", got, e.SHA256)
+			}
+		})
 	}
 }

@@ -1,9 +1,11 @@
 package creditrisk
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
+	"github.com/decwi/decwi/internal/rng"
 	"github.com/decwi/decwi/internal/rng/mt"
 	"github.com/decwi/decwi/internal/rng/normal"
 )
@@ -89,6 +91,121 @@ func TestPoissonSampler(t *testing.T) {
 	for _, bad := range []float64{-1, math.NaN(), math.Inf(1)} {
 		if _, err := Poisson(src, bad); err == nil {
 			t.Errorf("λ=%g should fail", bad)
+		}
+	}
+}
+
+// knuthOracle is the exact-exp Knuth sampler Poisson replaced, kept
+// verbatim as the oracle of its squeeze-first form: exp(−λ) on every
+// draw, no squeeze.
+func knuthOracle(u rng.Source32, lambda float64) (int64, error) {
+	if lambda < 0 || math.IsNaN(lambda) || math.IsInf(lambda, 0) {
+		return 0, fmt.Errorf("creditrisk: invalid Poisson intensity %g", lambda)
+	}
+	var n int64
+	for lambda > 0 {
+		step := lambda
+		if step > 30 {
+			step = 30
+		}
+		lambda -= step
+		limit := math.Exp(-step)
+		prod := 1.0
+		for {
+			prod *= rng.U32ToFloat64Open(u.Uint32())
+			if prod <= limit {
+				break
+			}
+			n++
+		}
+	}
+	return n, nil
+}
+
+// checkPoissonDraw draws once from each twister with Poisson and with
+// the oracle and fails unless value, error and words consumed agree.
+// got and want must start in the same state.
+func checkPoissonDraw(t *testing.T, got, want *mt.Core, lambda float64) {
+	t.Helper()
+	n, err := Poisson(got, lambda)
+	wn, werr := knuthOracle(want, lambda)
+	if (err == nil) != (werr == nil) || n != wn || got.Offset() != want.Offset() {
+		t.Fatalf("λ=%g: Poisson = (%d, %v) after %d words, oracle (%d, %v) after %d",
+			lambda, n, err, got.Offset(), wn, werr, want.Offset())
+	}
+}
+
+// TestPoissonMatchesKnuthOracle: the squeeze-first sampler returns the
+// oracle's value and consumes exactly the oracle's words — at the edge
+// intensities (0, the smallest subnormal, the 30-chunk boundary, multi-
+// chunk λ) over many successive draws, and at 10⁵ log-uniform λ.
+func TestPoissonMatchesKnuthOracle(t *testing.T) {
+	for _, ps := range []mt.Params{mt.MT19937Params, mt.MT521Params} {
+		for _, lambda := range []float64{0, 5e-324, 1e-12, 0.02, 0.3, 1, 29.999, 30, 30.5, 95} {
+			got, want := mt.New(ps, 41), mt.New(ps, 41)
+			for i := 0; i < 2000; i++ {
+				checkPoissonDraw(t, got, want, lambda)
+			}
+		}
+		got, want := mt.New(ps, 42), mt.New(ps, 42)
+		lambdas := rng.NewSplitMix64(43)
+		for i := 0; i < 100000; i++ {
+			// log-uniform over [1e-9, 100]
+			u := rng.U64ToFloat64Open(lambdas.Next())
+			checkPoissonDraw(t, got, want, 1e-9*math.Pow(1e11, u))
+		}
+	}
+}
+
+// TestPoissonSqueezeBound sweeps the squeeze's premise: the computed
+// bound 1 − λ − 2⁻⁴⁰ lies strictly below math.Exp(−λ) for 10⁶ λ
+// log-spaced over [2⁻¹⁰⁷⁴, 30] (the single-chunk range; above 30 the
+// bound is negative and never passes).
+func TestPoissonSqueezeBound(t *testing.T) {
+	const points = 1000000
+	lo, hi := -1074.0, math.Log2(30)
+	for i := 0; i < points; i++ {
+		lambda := math.Exp2(lo + (hi-lo)*float64(i)/(points-1))
+		if i == points-1 {
+			lambda = 30
+		}
+		if b, e := 1-lambda-squeezeSlack, math.Exp(-lambda); !(b < e) {
+			t.Fatalf("λ=%g: squeeze bound %.17g not below exp(−λ) = %.17g", lambda, b, e)
+		}
+	}
+}
+
+// FuzzPoisson: for an arbitrary seed and intensity, Poisson equals the
+// exact-exp oracle in value, error and words consumed over several
+// successive draws on either twister. Intensities above 128 are folded
+// into [0, 128) to keep a draw short. The seed corpus lives in
+// testdata/fuzz.
+func FuzzPoisson(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed uint64, lambda float64) {
+		if lambda > 128 && !math.IsInf(lambda, 0) {
+			lambda = math.Mod(lambda, 128)
+		}
+		ps := mt.MT19937Params
+		if seed&1 != 0 {
+			ps = mt.MT521Params
+		}
+		got, want := mt.New(ps, seed), mt.New(ps, seed)
+		for i := 0; i < 8; i++ {
+			checkPoissonDraw(t, got, want, lambda)
+		}
+	})
+}
+
+// TestUniformFeedMatchesUint32: the block-filled feed reads exactly the
+// twister's one-word stream, across several refills.
+func TestUniformFeedMatchesUint32(t *testing.T) {
+	for _, ps := range []mt.Params{mt.MT19937Params, mt.MT521Params} {
+		feed := newUniformFeed(mt.New(ps, 9))
+		ref := mt.New(ps, 9)
+		for i := 0; i < 5*feedWords+3; i++ {
+			if got, want := feed.Uint32(), ref.Uint32(); got != want {
+				t.Fatalf("%d states, word %d: feed %#x, Uint32 %#x", ps.N, i, got, want)
+			}
 		}
 	}
 }
@@ -300,14 +417,16 @@ func BenchmarkSimulateMC(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	const scenarios = 1000
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := SimulateMC(p, MCConfig{
-			Scenarios: 1000, Transform: normal.MarsagliaBray, MTParams: mt.MT521Params, Seed: uint64(i),
+			Scenarios: scenarios, Transform: normal.MarsagliaBray, MTParams: mt.MT521Params, Seed: uint64(i),
 		}); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(scenarios)*float64(b.N)/b.Elapsed().Seconds(), "scenarios/s")
 }
 
 func BenchmarkPanjer(b *testing.B) {

@@ -12,32 +12,95 @@ import (
 	"github.com/decwi/decwi/internal/telemetry"
 )
 
+// squeezeSlack is the margin of the Poisson sampler's squeeze bound
+// 1 − λ − 2⁻⁴⁰ ≤ e^{−λ}; see Poisson.
+const squeezeSlack = 0x1p-40
+
 // Poisson draws a Poisson(λ) variate with Knuth's multiplication method,
 // chunked so large intensities never underflow exp(−λ). Portfolio
 // intensities are tiny (p_i·R_i ≪ 1), but the sampler stays correct for
 // any λ ≥ 0.
+//
+// It is the one Poisson sampler of the package, and it tests a squeeze
+// before computing exp(−λ): e^{−λ} ≥ 1 − λ for every λ, fl(1 − λ) is
+// within 2⁻⁵³ of 1 − λ and math.Exp is within a few ulp of e^{−λ}, so a
+// first uniform u ≤ 1 − λ − 2⁻⁴⁰ is certain to satisfy u ≤ exp(−λ). Such
+// a draw returns 0 after one word without calling exp — most obligors
+// of a portfolio draw exactly that. Every other draw runs the exact
+// method from the same first word, so the value and the number of words
+// consumed are those of plain Knuth for every λ and every stream
+// (TestPoissonMatchesKnuthOracle, FuzzPoisson).
 func Poisson(u rng.Source32, lambda float64) (int64, error) {
 	if lambda < 0 || math.IsNaN(lambda) || math.IsInf(lambda, 0) {
 		return 0, fmt.Errorf("creditrisk: invalid Poisson intensity %g", lambda)
 	}
+	if lambda == 0 {
+		return 0, nil
+	}
+	w := u.Uint32()
+	if rng.U32ToFloat64Open(w) <= 1-lambda-squeezeSlack {
+		return 0, nil
+	}
+	return knuth(u, w, lambda), nil
+}
+
+// knuth is the exact tail of Poisson for λ > 0, given the draw's first
+// word w (already consumed). Starting each chunk's product at the word
+// itself equals Knuth's prod = 1; prod *= u, since 1·u is exact.
+func knuth(u rng.Source32, w uint32, lambda float64) int64 {
 	var n int64
-	for lambda > 0 {
+	for {
 		step := lambda
 		if step > 30 {
 			step = 30
 		}
 		lambda -= step
 		limit := math.Exp(-step)
-		prod := 1.0
-		for {
-			prod *= rng.U32ToFloat64Open(u.Uint32())
-			if prod <= limit {
-				break
-			}
+		prod := rng.U32ToFloat64Open(w)
+		for prod > limit {
 			n++
+			prod *= rng.U32ToFloat64Open(u.Uint32())
 		}
+		if !(lambda > 0) {
+			return n
+		}
+		w = u.Uint32()
 	}
-	return n, nil
+}
+
+// feedWords is the refill size of a uniformFeed.
+const feedWords = 256
+
+// uniformFeed reads a twister's word stream through a block buffer that
+// FillUint32 refills: the same words in the same order as successive
+// Uint32 calls, at block-MT cost instead of one Peek/Advance per word.
+// Words filled but not yet read are lost with the feed, so a feed must
+// own its twister.
+type uniformFeed struct {
+	src *mt.Core
+	pos int
+	buf [feedWords]uint32
+}
+
+func newUniformFeed(src *mt.Core) *uniformFeed {
+	return &uniformFeed{src: src, pos: feedWords}
+}
+
+// Uint32 implements rng.Source32.
+func (f *uniformFeed) Uint32() uint32 {
+	if f.pos >= feedWords {
+		f.src.FillUint32(f.buf[:])
+		f.pos = 0
+	}
+	w := f.buf[f.pos]
+	f.pos++
+	return w
+}
+
+// sectorTerm is one nonzero sector weight of an obligor.
+type sectorTerm struct {
+	k int
+	w float64
 }
 
 // sectorPipeAttempts is the candidate-block size of the sector-variable
@@ -102,7 +165,7 @@ func SimulateMC(p *Portfolio, cfg MCConfig) (*MCResult, error) {
 			fmt.Sprintf("rng.gamma.trips[sector-%d]", k), "trips",
 			"pipeline iterations per accepted gamma output (nested rejection-loop trip count)"))
 	}
-	psrc := mt.New(cfg.MTParams, seeds[len(p.Sectors)])
+	psrc := newUniformFeed(mt.New(cfg.MTParams, seeds[len(p.Sectors)]))
 	cScenarios := cfg.Telemetry.Counter("creditrisk.scenarios", "events",
 		"Monte-Carlo economy scenarios completed")
 	hDefaults := cfg.Telemetry.Histogram("creditrisk.defaults", "events",
@@ -119,6 +182,19 @@ func SimulateMC(p *Portfolio, cfg MCConfig) (*MCResult, error) {
 			gamma.NewBlockScratch(sectorPipeAttempts))
 	}
 
+	// Each obligor's nonzero sector terms in sector order, collected
+	// once: an obligor typically sits in one or a few of the sectors.
+	terms := make([]sectorTerm, 0, len(p.Obligors))
+	termEnd := make([]int, len(p.Obligors))
+	for i := range p.Obligors {
+		for k, w := range p.Obligors[i].Weights {
+			if w != 0 {
+				terms = append(terms, sectorTerm{k, w})
+			}
+		}
+		termEnd[i] = len(terms)
+	}
+
 	res := &MCResult{
 		Losses:     make([]float64, cfg.Scenarios),
 		SectorMean: make([]float64, len(p.Sectors)),
@@ -131,14 +207,14 @@ func SimulateMC(p *Portfolio, cfg MCConfig) (*MCResult, error) {
 		}
 		var loss float64
 		var defaults int64
+		t0 := 0
 		for i := range p.Obligors {
 			o := &p.Obligors[i]
 			r := 0.0
-			for k, w := range o.Weights {
-				if w != 0 {
-					r += w * sVals[k]
-				}
+			for _, t := range terms[t0:termEnd[i]] {
+				r += t.w * sVals[t.k]
 			}
+			t0 = termEnd[i]
 			n, err := Poisson(psrc, o.PD*r)
 			if err != nil {
 				return nil, err

@@ -23,6 +23,8 @@
 //     calls.
 package mt
 
+import "fmt"
+
 // Params describes a Mersenne-Twister instance in the Matsumoto-Nishimura
 // parameterization (w = 32 throughout this package).
 type Params struct {
@@ -98,8 +100,16 @@ type Core struct {
 	scramble uint64
 }
 
-// New returns a Core with the given parameters, seeded with seed.
+// New returns a Core with the given parameters, seeded with seed. It
+// panics if R or a tempering shift is 32 or more: the block kernels
+// mask their shift counts to 0..31 so the compiler can drop Go's
+// oversized-shift guard, and only below 32 does that mask leave the
+// word stream equal to the one-word path's.
 func New(p Params, seed uint64) *Core {
+	if p.R >= 32 || p.TemperU >= 32 || p.TemperS >= 32 || p.TemperT >= 32 || p.TemperL >= 32 {
+		panic(fmt.Sprintf("mt: R and tempering shifts must be < 32, got R=%d u=%d s=%d t=%d l=%d",
+			p.R, p.TemperU, p.TemperS, p.TemperT, p.TemperL))
+	}
 	c := &Core{p: p, state: make([]uint32, p.N)}
 	c.lowerMask = (uint32(1) << p.R) - 1
 	c.upperMask = ^c.lowerMask
@@ -319,6 +329,7 @@ func (c *Core) FillUint32(dst []uint32) {
 // and the loop runs as 8-wide unrolled lanes over len-pinned subslices so
 // the compiler eliminates every bounds check (scripts/bce_check.sh).
 func fillSeg(o, cur, nxt, tap []uint32, up, lo, a uint32, tu, ts uint, tb uint32, tt uint, tc uint32, tl uint) {
+	tu, ts, tt, tl = tu&31, ts&31, tt&31, tl&31 // no-op (New checks < 32); drops the oversized-shift guard
 	// bce:begin fillSeg twist+temper lanes
 	// The redundant slice-length terms in the loop condition and the tail
 	// guard are what let the prove pass drop every bounds check: each
@@ -447,6 +458,7 @@ func fill521(o, st []uint32, up, lo, a uint32, tu, ts uint, tb uint32, tt uint, 
 	}
 	o = o[:17:17]
 	st = st[:17:17]
+	tu, ts, tt, tl = tu&31, ts&31, tt&31, tl&31 // no-op (New checks < 32); drops the oversized-shift guard
 	var y, x uint32
 	// bce:begin fill521 twist+temper block
 	y = (st[0] & up) | (st[1] & lo)

@@ -87,6 +87,34 @@ func TestCoreMatchesBlockOracle(t *testing.T) {
 
 // TestPeekIsIdempotent verifies that Peek never consumes state and that
 // Peek followed by Uint32 observe the same word.
+// TestNewRejectsWideShifts: New refuses a shift count of 32 or more in
+// R or the tempering, where the block kernels' 0..31 shift mask would
+// part from the one-word path; the shipped parameter sets construct.
+func TestNewRejectsWideShifts(t *testing.T) {
+	wide := map[string]func(p *Params){
+		"R":       func(p *Params) { p.R = 32 },
+		"TemperU": func(p *Params) { p.TemperU = 32 },
+		"TemperS": func(p *Params) { p.TemperS = 40 },
+		"TemperT": func(p *Params) { p.TemperT = 63 },
+		"TemperL": func(p *Params) { p.TemperL = 1 << 20 },
+	}
+	for name, widen := range wide {
+		p := MT521Params
+		widen(&p)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: New accepted a shift count ≥ 32", name)
+				}
+			}()
+			New(p, 1)
+		}()
+	}
+	for _, p := range []Params{MT19937Params, MT521Params} {
+		New(p, 1)
+	}
+}
+
 func TestPeekIsIdempotent(t *testing.T) {
 	c := NewMT521(99)
 	for i := 0; i < 100; i++ {

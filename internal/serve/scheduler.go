@@ -1207,11 +1207,7 @@ func (s *Scheduler) execute(ctx context.Context, spec *JobSpec, tr *ftrace.Trace
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err
 		}
-		v := spec.Variance
-		if v == 0 {
-			v = 1.39
-		}
-		p, err := decwi.NewUniformPortfolio(spec.Sectors, v, spec.Obligors, spec.PD, spec.Exposure)
+		p, err := decwi.NewUniformPortfolio(spec.Sectors, spec.riskVariance(), spec.Obligors, spec.PD, spec.Exposure)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -259,6 +259,19 @@ func (spec *JobSpec) Validate(l Limits) error {
 		if spec.Obligors < 1 {
 			return fmt.Errorf("obligors %d must be ≥ 1", spec.Obligors)
 		}
+		// The Monte-Carlo holds one gamma generator per sector and one
+		// weight per obligor and sector, and draws once per scenario
+		// and obligor; bound all three before anything is allocated.
+		// Overflow-safe like scenarios·sectors above.
+		if spec.Sectors > maxRiskSectors {
+			return fmt.Errorf("risk sectors %d exceeds %d", spec.Sectors, maxRiskSectors)
+		}
+		if int64(spec.Obligors) > l.MaxScenarios/int64(spec.Sectors) {
+			return fmt.Errorf("obligors·sectors %d·%d exceeds the server cap %d", spec.Obligors, spec.Sectors, l.MaxScenarios)
+		}
+		if int64(spec.Obligors) > l.MaxScenarios/spec.Scenarios {
+			return fmt.Errorf("scenarios·obligors %d·%d exceeds the server cap %d", spec.Scenarios, spec.Obligors, l.MaxScenarios)
+		}
 		if spec.PD == 0 {
 			spec.PD = 0.02
 		}
@@ -274,6 +287,12 @@ func (spec *JobSpec) Validate(l Limits) error {
 		if spec.BandUnit < 0 || math.IsInf(spec.BandUnit, 0) {
 			return fmt.Errorf("band_unit %g must be a finite value ≥ 0", spec.BandUnit)
 		}
+		if spec.BandUnit > 0 {
+			if _, err := decwi.UniformPanjerUnits(spec.Sectors, spec.riskVariance(), spec.Obligors,
+				spec.PD, spec.Exposure, spec.BandUnit); err != nil {
+				return fmt.Errorf("band_unit %g: %v", spec.BandUnit, err)
+			}
+		}
 		// Risk runs on a scalar variance: the MC layer draws its sector
 		// gammas from one uniform portfolio definition.
 		if spec.Variances != nil {
@@ -286,16 +305,30 @@ func (spec *JobSpec) Validate(l Limits) error {
 	return nil
 }
 
+// maxRiskSectors caps the sectors of a risk job: the Monte-Carlo holds
+// one gamma generator (up to ~14 KiB of twister state and scratch) per
+// sector for the whole run.
+const maxRiskSectors = 1 << 10
+
+// riskVariance is the scalar sector variance of a risk spec, 0
+// selecting the library default.
+func (spec *JobSpec) riskVariance() float64 {
+	if spec.Variance == 0 {
+		return 1.39
+	}
+	return spec.Variance
+}
+
 // generateOptions maps a validated generate spec onto the facade's
 // parallel options. The mapping is total: every workload field of the
 // replay tuple is forwarded, nothing else is invented.
 func (spec *JobSpec) generateOptions() decwi.ParallelOptions {
 	return decwi.ParallelOptions{
 		GenerateOptions: decwi.GenerateOptions{
-			Scenarios: spec.Scenarios,
-			Sectors:   spec.Sectors,
-			Variance:  spec.Variance,
-			Variances: spec.Variances,
+			Scenarios:    spec.Scenarios,
+			Sectors:      spec.Sectors,
+			Variance:     spec.Variance,
+			Variances:    spec.Variances,
 			WorkItems:    spec.WorkItems,
 			Seed:         spec.Seed,
 			StreamOffset: spec.StreamOffset,

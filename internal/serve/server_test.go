@@ -239,6 +239,27 @@ func TestServerValidationErrors(t *testing.T) {
 		}, "scalar variance"},
 		{"risk bad pd", "/v1/risk", func(m map[string]any) { m["pd"] = 1.5 }, "pd 1.5"},
 		{"risk with stream offset", "/v1/risk", func(m map[string]any) { m["stream_offset"] = 4099 }, "stream_offset"},
+		{"risk obligors·sectors", "/v1/risk", func(m map[string]any) {
+			// A uniform portfolio of 2e9 obligors would allocate ~80 GB
+			// of weights, an OOM no panic barrier catches.
+			m["scenarios"] = 1
+			m["obligors"] = 2000000000
+		}, "obligors·sectors"},
+		{"risk scenarios·obligors", "/v1/risk", func(m map[string]any) {
+			m["scenarios"] = 1 << 20
+			m["obligors"] = 1 << 10
+		}, "scenarios·obligors"},
+		{"risk sectors", "/v1/risk", func(m map[string]any) {
+			m["scenarios"] = 1
+			m["obligors"] = 1
+			m["sectors"] = 1 << 20
+		}, "risk sectors"},
+		{"risk tiny band unit", "/v1/risk", func(m map[string]any) { m["band_unit"] = 1e-3 }, "Panjer truncation"},
+		{"risk band unit past int range", "/v1/risk", func(m map[string]any) {
+			// (EL+20σ)/band_unit is past the int range, so the cap must
+			// be checked on the float, before any conversion can wrap.
+			m["band_unit"] = 1e-300
+		}, "Panjer truncation"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m := base()
@@ -460,6 +481,47 @@ func TestServerGoldenDigest(t *testing.T) {
 		return
 	}
 	t.Fatalf("golden corpus has no %q entry", name)
+}
+
+// TestServerGoldenRisk: the risk report bytes are pinned absolutely
+// over HTTP — every risk entry of the golden corpus, submitted to
+// /v1/risk, must come back with exactly the committed digest in its
+// X-Decwi-Sha256 header. The report covers the Monte-Carlo loss
+// moments and tail measures, the analytic cross-checks and the Panjer
+// quantile, so it pins the whole risk pipeline end to end.
+func TestServerGoldenRisk(t *testing.T) {
+	b, err := os.ReadFile("../../testdata/golden_digests.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var corpus struct {
+		Risk []struct {
+			Name   string  `json:"name"`
+			Spec   JobSpec `json:"spec"`
+			SHA256 string  `json:"sha256"`
+		} `json:"risk"`
+	}
+	if err := json.Unmarshal(b, &corpus); err != nil {
+		t.Fatal(err)
+	}
+	if len(corpus.Risk) == 0 {
+		t.Fatal("golden corpus has no risk entries")
+	}
+	ts, _ := testServer(t, Config{Executors: 1})
+	for _, e := range corpus.Risk {
+		st, payload := runJobOverHTTP(t, ts, "/v1/risk", e.Spec)
+		r, err := http.Get(ts.URL + "/v1/jobs/" + st.ID + "/result")
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Body.Close()
+		if got := r.Header.Get("X-Decwi-Sha256"); got != e.SHA256 {
+			t.Errorf("%s: X-Decwi-Sha256 %s, golden %s", e.Name, got, e.SHA256)
+		}
+		if got := digest(payload); got != e.SHA256 {
+			t.Errorf("%s: payload sha256 %s, golden %s", e.Name, got, e.SHA256)
+		}
+	}
 }
 
 // TestServerDrainUnderRealLoad is the end-to-end drain acceptance test

@@ -35,6 +35,46 @@ func NewUniformPortfolio(sectors int, variance float64, n int, pd, exposure floa
 	return creditrisk.UniformPortfolio(secs, n, pd, exposure)
 }
 
+// MaxPanjerUnits caps the truncation of PortfolioRisk's exact Panjer
+// cross-check, in band units. The recursion allocates a pmf of that
+// many units per sector and convolves the sectors in O(units²), so a
+// tiny band unit must be an error rather than a multi-gigabyte
+// allocation and hours of convolution.
+const MaxPanjerUnits = 1 << 16
+
+// panjerUnits sizes the Panjer truncation of a loss distribution with
+// mean el and standard deviation sd to comfortably cover the 99.9 %
+// tail: (el + 20·sd)/bandUnit units, at least 64. It errors when that
+// is not finite or exceeds MaxPanjerUnits.
+func panjerUnits(el, sd, bandUnit float64) (int, error) {
+	units := (el + 20*sd) / bandUnit
+	if !(units <= MaxPanjerUnits) {
+		return 0, fmt.Errorf("decwi: Panjer truncation (EL+20σ)/band_unit = %g units is over the cap of %d; use a larger band unit", units, MaxPanjerUnits)
+	}
+	return max(int(units), 64), nil
+}
+
+// UniformPanjerUnits returns the Panjer truncation PortfolioRisk sizes
+// for NewUniformPortfolio(sectors, variance, n, pd, exposure) at
+// bandUnit, or its error. It takes the loss moments in closed form and
+// builds no portfolio, so a server can reject an oversized spec before
+// allocating anything. The closed form may differ from the summed
+// moments by rounding, so within a few ulps of the cap the two can
+// disagree; PortfolioRisk enforces the cap itself either way.
+func UniformPanjerUnits(sectors int, variance float64, n int, pd, exposure, bandUnit float64) (int, error) {
+	if sectors < 1 || n < 1 {
+		return 0, fmt.Errorf("decwi: need at least one sector and one obligor")
+	}
+	// Obligor i sits in sector i mod sectors: n mod sectors sectors hold
+	// ⌊n/sectors⌋+1 obligors, the rest ⌊n/sectors⌋.
+	q, r := n/sectors, n%sectors
+	muHi := float64(q+1) * pd * exposure
+	muLo := float64(q) * pd * exposure
+	el := float64(n) * pd * exposure
+	v := el*exposure + variance*(float64(r)*muHi*muHi+float64(sectors-r)*muLo*muLo)
+	return panjerUnits(el, math.Sqrt(v), bandUnit)
+}
+
 // RiskReport summarizes a portfolio risk run.
 type RiskReport struct {
 	// Scenarios is the Monte-Carlo sample size.
@@ -73,6 +113,14 @@ func PortfolioRiskObserved(p *Portfolio, c ConfigID, scenarios int, bandUnit flo
 	if err != nil {
 		return nil, err
 	}
+	// Size the Panjer truncation first: an oversized one fails before
+	// the Monte-Carlo runs.
+	var maxUnits int
+	if bandUnit > 0 {
+		if maxUnits, err = panjerUnits(p.ExpectedLoss(), math.Sqrt(p.LossVariance()), bandUnit); err != nil {
+			return nil, err
+		}
+	}
 	res, err := creditrisk.SimulateMC(p, creditrisk.MCConfig{
 		Scenarios: scenarios, Transform: k.Transform, MTParams: k.MTParams, Seed: seed,
 		Telemetry: rec,
@@ -106,11 +154,6 @@ func PortfolioRiskObserved(p *Portfolio, c ConfigID, scenarios int, bandUnit flo
 		bp, err := creditrisk.NewBandedPortfolio(p, bandUnit)
 		if err != nil {
 			return nil, err
-		}
-		// Size the truncation to comfortably cover the 99.9 % tail.
-		maxUnits := int((p.ExpectedLoss() + 20*rep.AnalyticStd) / bandUnit)
-		if maxUnits < 64 {
-			maxUnits = 64
 		}
 		dist, err := bp.PanjerLossDistribution(maxUnits)
 		if err != nil {

@@ -80,11 +80,27 @@ go test -race -count=1 \
     -run 'TestJump|FuzzJumpAdditive|TestOffset|TestCheckpoint|TestDecorrelate|TestGenerateParallelStreamOffset|TestRunItemPart|TestSubstream' \
     ./internal/rng/mt ./internal/rng ./internal/rng/gamma ./internal/core .
 
+# CreditRisk+ Monte-Carlo under the race detector: the squeeze-first
+# Poisson sampler against its exact-exp Knuth oracle (value and words
+# consumed, plus the FuzzPoisson seed corpus) and the absolute MC and
+# HTTP risk-report digests. Named so a narrowed filter can never drop
+# the proof that the fast loss loop draws the old loop's bytes.
+echo "== Poisson sampler & risk goldens under -race"
+go test -race -count=1 \
+    -run 'TestPoisson|FuzzPoisson|TestGoldenSimulateMC|TestServerGoldenRisk' \
+    ./internal/creditrisk ./internal/serve .
+
 # Fuzz smoke of the only seek path: ten seconds of coverage-guided
 # inputs for Jump(a);Jump(b) == Jump(a+b) and Jump(n) == n×Advance on
 # both twister parameter sets (one worker, to stay small).
 echo "== FuzzJumpAdditive smoke (10s)"
 go test -run '^$' -fuzz '^FuzzJumpAdditive$' -fuzztime 10s -parallel 1 ./internal/rng/mt
+
+# Fuzz smoke of the Poisson sampler: ten seconds of arbitrary seeds and
+# intensities, each draw equal to the exact-exp Knuth oracle in value
+# and words consumed (one worker, to stay small).
+echo "== FuzzPoisson smoke (10s)"
+go test -run '^$' -fuzz '^FuzzPoisson$' -fuzztime 10s -parallel 1 ./internal/creditrisk
 
 # Allocation gates (meaningful only without -race, whose instrumentation
 # allocates): the steady-state block loops must not allocate at all, and
@@ -113,11 +129,14 @@ echo "== gammagen golden bytes (offset 4099, GOMAXPROCS 1 and 4)"
 sh scripts/golden_check.sh
 
 # Benchmark smoke run: one iteration each, so the burst-transport,
-# sharded-generation and compute-path benchmarks can never silently rot.
-echo "== bench smoke (BenchmarkBatchedStream, BenchmarkGenerateParallel, BenchmarkBlockCompute, BenchmarkHistogramRecord)"
+# sharded-generation, compute-path and CreditRisk+ benchmarks can never
+# silently rot.
+echo "== bench smoke (BenchmarkBatchedStream, BenchmarkGenerateParallel, BenchmarkBlockCompute, BenchmarkPortfolioRisk, BenchmarkSimulateMC, BenchmarkHistogramRecord)"
 go test -run '^$' -bench BenchmarkBatchedStream -benchtime 1x ./internal/hls
 go test -run '^$' -bench BenchmarkGenerateParallel -benchtime 1x .
 go test -run '^$' -bench BenchmarkBlockCompute -benchtime 1x .
+go test -run '^$' -bench '^BenchmarkPortfolioRisk$' -benchtime 1x .
+go test -run '^$' -bench '^BenchmarkSimulateMC$' -benchtime 1x ./internal/creditrisk
 go test -run '^$' -bench BenchmarkHistogramRecord -benchtime 1x ./internal/telemetry
 
 # Live metrics smoke: scrape a running decwi-gammagen -http server and
