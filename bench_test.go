@@ -310,7 +310,8 @@ func BenchmarkCoSimValidation(b *testing.B) {
 }
 
 // BenchmarkAblationNDRangeVsTask compares the two kernel formulations of
-// Section III-A at equal pipeline counts.
+// Section III-A at equal pipeline counts; the task row is Engine.Run,
+// Listing 1's dataflow.
 func BenchmarkAblationNDRangeVsTask(b *testing.B) {
 	b.Run("ndrange", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -373,7 +374,7 @@ func BenchmarkBufferCombining(b *testing.B) {
 }
 
 // BenchmarkEngineThroughput measures the functional engine itself: gamma
-// values generated per second through streams, packing and bursts.
+// values generated per second through Generate (the Fused path).
 func BenchmarkEngineThroughput(b *testing.B) {
 	for _, cID := range []decwi.ConfigID{decwi.Config1, decwi.Config2, decwi.Config3, decwi.Config4} {
 		cID := cID
@@ -502,7 +503,7 @@ func BenchmarkPortfolioRisk(b *testing.B) {
 
 // BenchmarkAblationStreamDepth sweeps the hls::stream FIFO depth, the
 // knob that trades BRAM for decoupling slack between the GammaRNG and
-// Transfer processes.
+// Transfer processes of Engine.Run's dataflow.
 func BenchmarkAblationStreamDepth(b *testing.B) {
 	for _, depth := range []int{1, 16, 256} {
 		depth := depth
@@ -525,7 +526,8 @@ func BenchmarkAblationStreamDepth(b *testing.B) {
 }
 
 // BenchmarkGamma measures the telemetry overhead on the paper's hot
-// path: the full decoupled work-item engine generating gamma variates.
+// path: the decoupled work-item engine generating gamma variates on the
+// Fused path (RunChunk over every work-item, the path Generate runs).
 // The "off" variant (nil recorder — the no-op implementation) is the
 // tier-1 overhead gate: it must stay within noise of the pre-telemetry
 // engine, because disabled instrumentation is a nil-receiver check per
@@ -544,7 +546,7 @@ func BenchmarkGamma(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := eng.Run(); err != nil {
+			if err := eng.RunChunk(nil, make([]float32, 65536), 0, 8, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -6,6 +6,11 @@
 //
 //	decwi-gammagen -config 2 -n 1000000 -v 1.39 -out gammas.f32
 //	decwi-gammagen -config 1 -n 100000 -text | head
+//	decwi-gammagen -config 3 -n 1000000 -workers 1 -out gammas.f32
+//
+// Generation always runs the work-stealing scheduler; -workers 1 is the
+// sequential run, and every -shards/-workers choice writes the same
+// bytes.
 package main
 
 import (
@@ -30,9 +35,8 @@ func main() {
 	workItems := flag.Int("workitems", 0, "decoupled work-items (0 = P&R default)")
 	seed := flag.Uint64("seed", 1, "master seed")
 	offset := flag.Uint64("offset", 0, "fast-forward every work-item's streams by this many state words (checkpoint/resume; 0 = the seed state)")
-	parallel := flag.Bool("parallel", false, "generate with the work-stealing parallel engine (same output bytes)")
-	shards := flag.Int("shards", 0, "parallel: target work-item chunk count (0 = GOMAXPROCS)")
-	workers := flag.Int("workers", 0, "parallel: concurrent scheduler workers (0 = GOMAXPROCS)")
+	shards := flag.Int("shards", 0, "target work-item chunk count (0 = GOMAXPROCS); same output bytes for every choice")
+	workers := flag.Int("workers", 0, "concurrent scheduler workers (0 = GOMAXPROCS, 1 = sequential); same output bytes for every choice")
 	out := flag.String("out", "", "output file (default stdout)")
 	text := flag.Bool("text", false, "write one decimal value per line instead of raw float32 LE")
 	validate := flag.Bool("validate", true, "run the KS validation and report it on stderr")
@@ -53,7 +57,7 @@ func main() {
 		os.Exit(1)
 	}
 	runErr := run(*cfgNum, *n, *variance, *workItems, *seed, *offset,
-		*parallel, *shards, *workers, *out, *text, *validate, rec)
+		*shards, *workers, *out, *text, *validate, rec)
 	if err := stopMetrics(); err != nil && runErr == nil {
 		runErr = err
 	}
@@ -67,7 +71,7 @@ func main() {
 }
 
 func run(cfgNum int, n int64, variance float64, workItems int, seed, offset uint64,
-	parallel bool, shards, workers int, out string, text, validate bool, rec *telemetry.Recorder) error {
+	shards, workers int, out string, text, validate bool, rec *telemetry.Recorder) error {
 	if cfgNum < 1 || cfgNum > 4 {
 		return fmt.Errorf("config %d outside 1-4", cfgNum)
 	}
@@ -80,28 +84,15 @@ func run(cfgNum int, n int64, variance float64, workItems int, seed, offset uint
 		WorkItems: workItems, Seed: seed, StreamOffset: offset,
 		Telemetry: rec,
 	}
-	// Both paths produce the same bytes for the same options; -parallel
-	// only changes how the work-item axis is scheduled onto the host.
-	var vals []float32
-	if parallel {
-		pres, err := decwi.GenerateParallel(cfg, decwi.ParallelOptions{
-			GenerateOptions: gopt, Shards: shards, Workers: workers,
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "decwi-gammagen: %s, %d work-items, rejection rate %.4f, %d chunks on %d workers (%d stolen)\n",
-			cfg, pres.WorkItems, pres.RejectionRate, pres.Chunks, pres.Workers, pres.Steals)
-		vals = pres.Sector(0)
-	} else {
-		res, err := decwi.Generate(cfg, gopt)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "decwi-gammagen: %s, %d work-items, rejection rate %.4f, modelled FPGA time %v\n",
-			cfg, res.WorkItems, res.RejectionRate, res.FPGATime)
-		vals = res.Sector(0)
+	res, err := decwi.GenerateParallel(cfg, decwi.ParallelOptions{
+		GenerateOptions: gopt, Shards: shards, Workers: workers,
+	})
+	if err != nil {
+		return err
 	}
+	fmt.Fprintf(os.Stderr, "decwi-gammagen: %s, %d work-items, rejection rate %.4f, modelled FPGA time %v, %d chunks on %d workers (%d stolen)\n",
+		cfg, res.WorkItems, res.RejectionRate, res.FPGATime, res.Chunks, res.Workers, res.Steals)
+	vals := res.Sector(0)
 
 	if validate {
 		d, p, err := decwi.ValidateGamma(vals, variance)

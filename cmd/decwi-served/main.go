@@ -18,7 +18,7 @@
 // cached by the canonical digest of their replay tuple (-cache-bytes,
 // -cache-tenant-bytes) and repeat submissions are answered without an
 // engine run; concurrent identical submissions coalesce onto one shared
-// execution (-dedup); and small jobs (-fastpath-values) run inline when
+// execution; and small jobs (-fastpath-values) run inline when
 // an executor is idle, skipping the queue hand-off.
 //
 // SIGTERM/SIGINT starts a graceful drain: new submissions get 503,
@@ -63,7 +63,6 @@ func main() {
 	cacheBytes := flag.Int64("cache-bytes", 64<<20, "deterministic result cache budget in bytes (0 disables caching)")
 	cacheTenantBytes := flag.Int64("cache-tenant-bytes", 0, "per-tenant result cache byte cap (0 selects cache-bytes/4)")
 	fastPathValues := flag.Int64("fastpath-values", 65536, "scenarios·sectors at or under which an idle executor runs the job inline, skipping the queue hand-off (0 disables)")
-	dedup := flag.Bool("dedup", true, "coalesce concurrent identical submissions onto one engine run")
 	flightN := flag.Int("flight", 256, "flight-recorder ring: per-job traces retained for /debug/jobs (0 disables tracing)")
 	flightPinned := flag.Int("flight-pinned", 64, "slow/failed traces pinned past ring eviction")
 	flightSlow := flag.Duration("flight-slow", 250*time.Millisecond, "jobs at or over this duration are pinned in the flight recorder")
@@ -92,7 +91,6 @@ func main() {
 		CacheBytes:       *cacheBytes,
 		CacheTenantBytes: *cacheTenantBytes,
 		FastPathValues:   *fastPathValues,
-		SingleflightOff:  !*dedup,
 		Logger:           logger,
 		SLOLatency:       *sloLatency,
 		SLOTarget:        *sloTarget,

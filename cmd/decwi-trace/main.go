@@ -221,7 +221,7 @@ func run(cfgNum int, scenarios int64, sectors, workItems int, seed uint64,
 	// Pass 3 (optional): the work-stealing parallel host path — per-chunk
 	// EvChunk spans plus the scheduler counters the stall report's
 	// "Parallel scheduler" section attributes.
-	var pres *decwi.ParallelResult
+	var pres *decwi.GenerateResult
 	if parallel {
 		pres, err = decwi.GenerateParallel(cfg, decwi.ParallelOptions{
 			GenerateOptions: decwi.GenerateOptions{

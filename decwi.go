@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/decwi/decwi/internal/core"
-	"github.com/decwi/decwi/internal/fpga"
 	"github.com/decwi/decwi/internal/perf"
 	"github.com/decwi/decwi/internal/rng/gamma"
 	"github.com/decwi/decwi/internal/rng/mt"
@@ -141,9 +139,10 @@ type GenerateOptions struct {
 	// every pipeline iteration. Output is bitwise-identical either way;
 	// set it when the hardware-shaped observables (cycle-level
 	// interleaving, stream backpressure, burst counters, FIFO
-	// occupancy) are the point, as decwi-trace does. Generate only:
-	// GenerateParallel rejects it, because the dataflow is one
-	// monolithic run.
+	// occupancy) are the point, as decwi-trace does. The dataflow runs
+	// every work-item as one unit, so GenerateParallel rejects it
+	// unless the run is one chunk on one worker, which is what Generate
+	// and Session.EnqueueGamma ask for.
 	Hardware bool
 	// BreakID is Listing 2's counter delay index for the delayed exit
 	// ("here it suffices to use zero"). Values > 0 make every work-item
@@ -157,64 +156,63 @@ type GenerateOptions struct {
 	Telemetry *telemetry.Recorder
 }
 
-// GenerateResult carries the generated data and its run metadata.
+// GenerateResult carries the generated data and its run metadata. Generate
+// and GenerateParallel both return it: Generate is the one-worker,
+// one-chunk GenerateParallel.
 type GenerateResult struct {
 	// Values holds Scenarios·Sectors gamma variates in device layout
 	// (one block per work-item; use Sector for the per-sector marginal).
+	// The bytes depend only on the GenerateOptions, never on the
+	// scheduling knobs or the execution mode.
 	Values []float32
+	// BlockOffsets has WorkItems+1 entries framing each work-item's
+	// contiguous block of Values (sector-major inside the block).
+	BlockOffsets []int64
 	// RejectionRate is the observed combined rate (Eq. (1)'s r).
 	RejectionRate float64
 	// WorkItems is the number of decoupled pipelines used.
 	WorkItems int
+	// Chunks is the number of scheduling units the run was split into
+	// (work-item chunks, or (work-item, lane) pairs with substreams).
+	Chunks int
+	// Workers is the number of scheduler workers actually used.
+	Workers int
+	// Steals counts chunks executed by a worker other than their
+	// static round-robin owner — the work the dynamic cursor moved to
+	// absorb rejection-sampling imbalance.
+	Steals int
+	// ChunkImbalance is the max/min chunk wall-time ratio (1 when
+	// fewer than two chunks ran). Static sharding would stall its
+	// fastest worker for (ChunkImbalance-1)/ChunkImbalance of the
+	// slowest chunk's time; work stealing does not.
+	ChunkImbalance float64
 	// FPGATime is the modelled kernel runtime on the paper's board for
 	// this workload.
 	FPGATime time.Duration
 	// TransferBound reports whether the memory path dominated.
 	TransferBound bool
 
-	run *core.RunResult
+	sectors int
 }
 
-// Sector returns every value of one sector across work-items.
-func (r *GenerateResult) Sector(k int) []float32 { return r.run.SectorValues(k) }
+// Sector returns every value of one sector across work-items — the
+// per-sector marginal the Fig. 6 validation histograms.
+func (r *GenerateResult) Sector(k int) []float32 {
+	out := make([]float32, 0, r.BlockOffsets[r.WorkItems]/int64(r.sectors))
+	for w := 0; w < r.WorkItems; w++ {
+		limitMain := (r.BlockOffsets[w+1] - r.BlockOffsets[w]) / int64(r.sectors)
+		start := r.BlockOffsets[w] + int64(k)*limitMain
+		out = append(out, r.Values[start:start+limitMain]...)
+	}
+	return out
+}
 
 // Generate runs configuration c of the decoupled work-item engine and
 // returns validated gamma data plus modelled FPGA timing. This is the
-// quickstart entry point.
+// quickstart entry point: GenerateParallel with one chunk on one worker,
+// the only schedule that also admits GenerateOptions.Hardware.
 func Generate(c ConfigID, opt GenerateOptions) (*GenerateResult, error) {
-	k, err := c.kernel()
-	if err != nil {
-		return nil, err
-	}
-	opt, err = normalizeGenerate(k, opt)
-	if err != nil {
-		return nil, err
-	}
-	wi := opt.WorkItems
-	eng, err := core.NewEngine(engineConfig(k, opt))
-	if err != nil {
-		return nil, err
-	}
-	run, err := eng.Run()
-	if err != nil {
-		return nil, err
-	}
-
-	res := &GenerateResult{
-		Values:        run.Data,
-		RejectionRate: run.CombinedRejectionRate(),
-		WorkItems:     wi,
-		run:           run,
-	}
-	w := fpga.Workload{NumScenarios: opt.Scenarios, NumSectors: int64(opt.Sectors), BytesPerValue: 4}
-	burst := eng.Config().BurstRNs
-	t, err := fpga.DefaultDevice().KernelRuntime(w, wi, res.RejectionRate, burst)
-	if err != nil {
-		return nil, err
-	}
-	res.FPGATime = t.Runtime
-	res.TransferBound = !t.ComputeBound
-	return res, nil
+	return GenerateParallel(c, ParallelOptions{GenerateOptions: opt, Shards: 1, Workers: 1})
 }
 
 // ValidateGamma runs the Fig. 6 validation on a sample: a KS test against
@@ -261,13 +259,4 @@ func MeasureRejection(c ConfigID, variance float64, outputs int, seed uint64) (f
 		return 0, fmt.Errorf("decwi: variance %g must be positive", variance)
 	}
 	return gamma.MeasureRejectionRate(k.Transform, k.MTParams, variance, outputs, seed), nil
-}
-
-// transformOf exposes the transform kind for facade helpers.
-func transformOf(c ConfigID) (normal.Kind, error) {
-	k, err := c.kernel()
-	if err != nil {
-		return 0, err
-	}
-	return k.Transform, nil
 }

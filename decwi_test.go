@@ -105,6 +105,10 @@ func TestGenerateQuickstart(t *testing.T) {
 	if res.FPGATime <= 0 {
 		t.Fatal("modelled FPGA time missing")
 	}
+	// Generate is the sequential schedule: one chunk on one worker.
+	if res.Chunks != 1 || res.Workers != 1 || res.Steals != 0 {
+		t.Fatalf("Generate ran %d chunks on %d workers (%d stolen), want 1/1/0", res.Chunks, res.Workers, res.Steals)
+	}
 	// Distribution check through the public API.
 	d, p, err := decwi.ValidateGamma(res.Sector(0), 1.39)
 	if err != nil {

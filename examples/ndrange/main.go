@@ -40,7 +40,8 @@ func main() {
 		bursts += s.Bursts
 	}
 	fmt.Printf("Task (.c kernel, Listing 1): 4 pipelines, %d cycles on the slowest,\n", task.MaxWorkItemCycles())
-	fmt.Printf("  %d full 512-bit bursts issued\n\n", bursts)
+	fmt.Printf("  %d memory bursts issued (%d values = %d 512-bit words each)\n\n",
+		bursts, eng.Config().BurstRNs, eng.Config().BurstRNs/core.WordRNs)
 
 	// NDRange formulation at several work-group granularities — same
 	// number of pipelines (work-groups), different localSize slicing.

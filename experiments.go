@@ -517,7 +517,7 @@ func RejectionRates(outputs int, seed uint64) ([]RejectionRateRow, error) {
 	}
 	var rows []RejectionRateRow
 	for _, c := range []ConfigID{Config1, Config3} {
-		tf, err := transformOf(c)
+		k, err := c.kernel()
 		if err != nil {
 			return nil, err
 		}
@@ -527,8 +527,8 @@ func RejectionRates(outputs int, seed uint64) ([]RejectionRateRow, error) {
 				return nil, err
 			}
 			rows = append(rows, RejectionRateRow{
-				Transform: tf.String(), Variance: v, Rate: rate,
-				PaperRate: paper[tf.String()][v],
+				Transform: k.Transform.String(), Variance: v, Rate: rate,
+				PaperRate: paper[k.Transform.String()][v],
 			})
 		}
 	}

@@ -109,9 +109,11 @@ func digestFloat64(values []float64) string {
 
 // TestGoldenDigests checks every golden generate tuple through each entry
 // point that promises its bytes: Generate on the Fused path, Generate on
-// the Hardware dataflow, and GenerateParallel at one worker and at
-// GOMAXPROCS workers. Substream tuples are a GenerateParallel-only
-// stream family, so they go through the two parallel entries alone.
+// the Hardware dataflow, GenerateParallel at one worker and at
+// GOMAXPROCS workers, and the OpenCL host path (Session.EnqueueGamma)
+// read back with device-level and with host-level combining. Substream
+// tuples are a GenerateParallel-only stream family, so they go through
+// the two parallel entries alone.
 func TestGoldenDigests(t *testing.T) {
 	g := loadGolden(t)
 	for _, e := range g.Generate {
@@ -132,6 +134,18 @@ func TestGoldenDigests(t *testing.T) {
 						t.Fatalf("Generate(Hardware=%v): %v", hw, err)
 					}
 					check(fmt.Sprintf("Generate(Hardware=%v)", hw), res.Values)
+				}
+				sess, err := NewSession("FPGA")
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer sess.Close()
+				for _, hostCombine := range []bool{false, true} {
+					run, err := sess.EnqueueGamma(c, e.options(), hostCombine)
+					if err != nil {
+						t.Fatalf("EnqueueGamma(hostCombine=%v): %v", hostCombine, err)
+					}
+					check(fmt.Sprintf("Session.EnqueueGamma(hostCombine=%v)", hostCombine), run.Host)
 				}
 			}
 			for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {

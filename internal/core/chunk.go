@@ -18,15 +18,14 @@ import (
 // chunked run therefore writes each work-item's values straight into the
 // caller-provided device-layout buffer at the work-item's final offset
 // (zero-copy assembly), on any goroutine, in any order, and the bytes
-// are identical to a monolithic Run (TestRunChunkEquivalence).
+// are identical to the Listing 1 dataflow Run (TestRunChunkEquivalence).
 //
-// A chunk always executes its work-items on the Fused path: generateWI
-// runs the block compute phase directly into the destination slice with
-// no hls::stream, no 512-bit packing and no Transfer goroutine. The
-// Listing 1 dataflow is what Run models with Config.Hardware; the Fused
-// path is the host-side throughput path. Both consume the identical
-// generator sequence, so the emitted values — and the result bytes —
-// cannot differ.
+// RunChunk is the Fused path: generateWI runs the block compute phase
+// directly into the destination slice with no hls::stream, no 512-bit
+// packing and no Transfer goroutine. Run is the Listing 1 dataflow; the
+// Fused path is the host-side throughput path. Both consume the
+// identical generator sequence, so the emitted values — and the result
+// bytes — cannot differ.
 
 // RunChunk executes work-items [lo, hi) of the engine's layout, writing
 // each one's output into dst at its final device-layout offset. dst must
@@ -115,15 +114,12 @@ func (e *Engine) runWorkItemFused(ctx context.Context, wid int, dst []float32, s
 		return fmt.Errorf("core: work-item %d wrote %d values, block expects %d",
 			wid, off-e.offsets[wid], end-e.offsets[wid])
 	}
-	if stp.Accepted > 0 {
-		stp.RejectionRate = float64(stp.Cycles-stp.Accepted) / float64(stp.Accepted)
-	}
 	return nil
 }
 
 // CombineStats computes the output-weighted combined rejection rate over
-// a stats slice — the same Eq. (1) r that RunResult.CombinedRejectionRate
-// reports, so chunked and monolithic runs agree on metadata too.
+// a stats slice (a chunked run's, or RunResult.PerWI) — the r that
+// enters Eq. (1).
 func CombineStats(stats []WorkItemStats) float64 {
 	var cyc, acc uint64
 	for _, s := range stats {

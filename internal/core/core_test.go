@@ -100,9 +100,6 @@ func TestEngineUnevenSplit(t *testing.T) {
 	res := runSmall(t, Config{
 		Transform: normal.ICDFCUDA, MTParams: mt.MT521Params,
 		WorkItems: 3, Scenarios: 1000, Sectors: 2, SectorVariance: 0.7, Seed: 2,
-		// FlushedWords is a Transfer-engine observable; it only exists
-		// on the Hardware dataflow.
-		Hardware: true,
 	})
 	wantPer := []int64{334, 333, 333}
 	for w, s := range res.PerWI {
@@ -221,10 +218,8 @@ func TestEngineRejectionTelemetry(t *testing.T) {
 	res := runSmall(t, Config{
 		Transform: normal.MarsagliaBray, MTParams: mt.MT521Params,
 		WorkItems: 2, Scenarios: 40000, Sectors: 2, SectorVariance: 1.39, Seed: 6,
-		// Burst accounting only exists on the Hardware dataflow.
-		Hardware: true,
 	})
-	if r := res.CombinedRejectionRate(); math.Abs(r-0.303) > 0.03 {
+	if r := CombineStats(res.PerWI); math.Abs(r-0.303) > 0.03 {
 		t.Fatalf("combined rejection rate %f, expected ≈0.303", r)
 	}
 	for _, s := range res.PerWI {
@@ -237,6 +232,35 @@ func TestEngineRejectionTelemetry(t *testing.T) {
 	}
 	if res.MaxWorkItemCycles() == 0 {
 		t.Fatal("cycle telemetry missing")
+	}
+}
+
+// TestRunIsListing1Dataflow: Run on a default Config is Listing 1's
+// dataflow, never the Fused path — every work-item's Transfer engine
+// issues one burst per BurstRNs values of whole 512-bit words plus one
+// for a partial tail word, and its hls::stream is actually occupied.
+// The uneven split gives some work-items a tail word and others none.
+func TestRunIsListing1Dataflow(t *testing.T) {
+	for _, scenarios := range []int64{4096, 1001} {
+		res := runSmall(t, Config{
+			Transform: normal.ICDFCUDA, MTParams: mt.MT521Params,
+			WorkItems: 3, Scenarios: scenarios, Sectors: 2, SectorVariance: 1.39, Seed: 8,
+		})
+		burst := int64(res.cfg.BurstRNs)
+		for _, s := range res.PerWI {
+			total := s.Scenarios * 2
+			whole := total - total%WordRNs
+			want := (whole + burst - 1) / burst
+			if total%WordRNs != 0 {
+				want++
+			}
+			if s.Bursts != want {
+				t.Errorf("scenarios=%d work-item %d: %d bursts, want %d for %d values", scenarios, s.WID, s.Bursts, want, total)
+			}
+			if s.StreamHigh <= 0 {
+				t.Errorf("scenarios=%d work-item %d: stream high-water %d, want > 0", scenarios, s.WID, s.StreamHigh)
+			}
+		}
 	}
 }
 
@@ -297,14 +321,13 @@ func TestPropertyEngineConservation(t *testing.T) {
 			Transform: normal.ICDFCUDA, MTParams: mt.MT521Params,
 			WorkItems: wi, Scenarios: scen, Sectors: sectors,
 			SectorVariance: 1.39, Seed: seed,
-			// Conservation must hold on both execution paths;
-			// alternate Fused and Hardware across the sweep.
-			Hardware: seed%2 == 0,
 		})
 		if err != nil {
 			return false
 		}
-		res, err := e.Run()
+		// Conservation must hold on both execution paths; alternate
+		// Run's dataflow and the Fused RunChunk across the sweep.
+		res, err := runPath(e, seed%2 == 0)
 		if err != nil {
 			return false
 		}

@@ -38,21 +38,6 @@ type Config struct {
 	// StreamDepth is the hls::stream FIFO depth between generation and
 	// transfer. Default 64; negative depths are rejected.
 	StreamDepth int
-	// Hardware selects Listing 1's dataflow execution: one GammaRNG and
-	// one Transfer process per work-item, joined by a blocking
-	// hls::stream that moves WordRNs-sized (512-bit) batches, with
-	// burst copies into the device buffer, and every pipeline iteration
-	// a gated one-word gamma.CycleStep (Listings 2-4). The default
-	// (false) is the Fused path: work-items run through the RunChunk
-	// machinery, bulk-filling Mersenne-Twister words and generating
-	// candidate blocks straight into the result buffer at their
-	// device-layout offsets. Both produce bitwise-identical bytes
-	// (TestFusedRunEquivalence, pinned absolutely by the golden
-	// corpus); Hardware exists for stall tracing and the
-	// hardware-shaped observables, which exist only there: stream
-	// backpressure, burst accounting (Bursts, FlushedWords, StreamHigh)
-	// and dataflow process spans.
-	Hardware bool
 	// StreamOffset fast-forwards every work-item's four Mersenne-Twister
 	// streams by this many state words before generation begins — an
 	// O(log n) seek through each stream (mt.Core.Jump). The default 0
@@ -207,10 +192,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 // Config returns the normalized configuration.
 func (e *Engine) Config() Config { return e.cfg }
 
-// WorkItemQuotas returns a copy of the per-work-item output quotas
-// (earlier work-items absorb the Scenarios remainder).
-func (e *Engine) WorkItemQuotas() []int64 { return append([]int64(nil), e.per...) }
-
 // BlockOffsets returns a copy of the device-layout block offsets:
 // work-item w's output occupies [BlockOffsets[w], BlockOffsets[w+1]) of
 // the result buffer, sector-major inside the block.
@@ -233,42 +214,17 @@ func (e *Engine) splitScenarios() []int64 {
 	return out
 }
 
-// Run executes the engine. The default is the Fused path: work-items
-// run sequentially through the RunChunk machinery, each generated block
-// written directly into the result buffer at its device-layout offset.
-// With Config.Hardware it is instead Listing 1's DecoupledWorkItems —
-// one gammaRNG process and one Transfer process per work-item, joined
-// by a blocking stream, all scheduled concurrently. The bytes are
-// identical either way (TestFusedRunEquivalence).
+// Run executes Listing 1's DecoupledWorkItems: one GammaRNG process and
+// one Transfer process per work-item, joined by a blocking hls::stream
+// that moves WordRNs-sized (512-bit) batches, with burst copies into the
+// device buffer and a gated one-word gamma.CycleStep every pipeline
+// iteration (Listings 2-4), all scheduled concurrently. It is the
+// hardware-shaped execution: the stream backpressure, burst accounting
+// (Bursts, FlushedWords, StreamHigh) and dataflow process spans exist
+// only here. RunChunk is the Fused host path over the same generator
+// sequence; the bytes are identical (TestFusedRunEquivalence, pinned
+// absolutely by the golden corpus).
 func (e *Engine) Run() (*RunResult, error) {
-	if e.cfg.Hardware {
-		return e.runHardware()
-	}
-	return e.runFused()
-}
-
-// runFused is the default execution: the streamless single-goroutine
-// path, sharing every line of per-work-item execution with RunChunk so
-// the monolithic and chunked runs cannot drift apart.
-func (e *Engine) runFused() (*RunResult, error) {
-	cfg := e.cfg
-	res := &RunResult{
-		Data:         make([]float32, cfg.Scenarios*int64(cfg.Sectors)),
-		BlockOffsets: append([]int64(nil), e.offsets...),
-		PerWI:        make([]WorkItemStats, cfg.WorkItems),
-		cfg:          cfg,
-	}
-	kernelTr := cfg.Telemetry.Track("engine", telemetry.Wall)
-	kStart := kernelTr.Now()
-	if err := e.RunChunk(nil, res.Data, 0, cfg.WorkItems, res.PerWI); err != nil {
-		return nil, err
-	}
-	kernelTr.Span(telemetry.EvKernel, kStart, kernelTr.Now(), cfg.Scenarios*int64(cfg.Sectors))
-	return res, nil
-}
-
-// runHardware is the Listing 1 dataflow behind Config.Hardware.
-func (e *Engine) runHardware() (*RunResult, error) {
 	cfg := e.cfg
 	per := e.per
 
@@ -312,12 +268,6 @@ func (e *Engine) runHardware() (*RunResult, error) {
 		return nil, err
 	}
 	kernelTr.Span(telemetry.EvKernel, kStart, kernelTr.Now(), cfg.Scenarios*int64(cfg.Sectors))
-	for w := range res.PerWI {
-		s := &res.PerWI[w]
-		if s.Accepted > 0 {
-			s.RejectionRate = float64(s.Cycles-s.Accepted) / float64(s.Accepted)
-		}
-	}
 	return res, nil
 }
 
@@ -363,7 +313,7 @@ var blockScratchPool = sync.Pool{New: func() any {
 	return gamma.NewBlockScratch(blockCycles)
 }}
 
-// gammaRNG is Listing 2 on the Hardware path: SECLOOP over sectors,
+// gammaRNG is Listing 2 on the Run path: SECLOOP over sectors,
 // each running the gated one-word MAINLOOP with its delayed exit until
 // limitMain validated outputs are written to the stream. Validated
 // outputs are staged in a WordRNs-sized batch and moved with one
@@ -394,7 +344,7 @@ func (e *Engine) gammaRNG(wid int, limitMain int64, gen *gamma.Generator, out *h
 // when non-nil, selects the block compute path: it returns a destination
 // slice for up to n outputs so candidate blocks are generated straight
 // into final storage — the Fused path — with commit(produced) advancing
-// past the outputs actually produced. A nil block is the Hardware path:
+// past the outputs actually produced. A nil block is the Run path:
 // every pipeline iteration is a gated one-word gamma.CycleStep.
 type sink struct {
 	value  func(float32)
@@ -407,8 +357,8 @@ type sink struct {
 // validated output to the sink, in order. The value sequence depends
 // only on the work-item's generator (seed, transform, twister,
 // variances) — never on where the sink puts the value or which compute
-// path produced it — which is what makes the Hardware Run path and the
-// Fused RunChunk path bitwise-identical. ctx, when non-nil, is polled
+// path produced it — which is what makes the Run dataflow and the Fused
+// RunChunk path bitwise-identical. ctx, when non-nil, is polled
 // at sector boundaries so a cancelled chunked run aborts promptly
 // without perturbing any completed sector.
 //
@@ -504,6 +454,9 @@ func (e *Engine) generateWI(ctx context.Context, wid int, limitMain int64, gen *
 	}
 	stats.Cycles = gen.Cycles()
 	stats.Accepted = gen.Accepted()
+	if stats.Accepted > 0 {
+		stats.RejectionRate = float64(stats.Cycles-stats.Accepted) / float64(stats.Accepted)
+	}
 	e.recordWICounters(wid, gen)
 	return nil
 }
@@ -597,12 +550,9 @@ func (e *Engine) transfer(wid int, limitMain int64, in *hls.Stream[float32], res
 		return fmt.Errorf("core: transfer %d: wrote %d values, block expects %d",
 			wid, offset-res.BlockOffsets[wid], res.BlockOffsets[wid+1]-res.BlockOffsets[wid])
 	}
-	_, _, stats.StreamHigh = streamStats(in)
+	_, _, stats.StreamHigh = in.Stats()
 	return nil
 }
-
-// streamStats adapts the Stream telemetry accessor.
-func streamStats(s *hls.Stream[float32]) (uint64, uint64, int) { return s.Stats() }
 
 // errTruncated normalises the short-read cases of ReadBurst: a short
 // count with a nil error still means the producer closed early.
@@ -630,20 +580,6 @@ func (r *RunResult) SectorValues(sector int) []float32 {
 		out = append(out, r.Data[start:start+limitMain]...)
 	}
 	return out
-}
-
-// CombinedRejectionRate returns the output-weighted mean rejection rate
-// across work-items — the r that enters Eq. (1).
-func (r *RunResult) CombinedRejectionRate() float64 {
-	var cyc, acc uint64
-	for _, s := range r.PerWI {
-		cyc += s.Cycles
-		acc += s.Accepted
-	}
-	if acc == 0 {
-		return 0
-	}
-	return float64(cyc-acc) / float64(acc)
 }
 
 // MaxWorkItemCycles returns the largest per-work-item cycle count — the

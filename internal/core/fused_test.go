@@ -22,15 +22,34 @@ var tableIConfigs = []struct {
 	{"Config4-ICDF-MT521", normal.ICDFCUDA, mt.MT521Params},
 }
 
-// runMode runs cfg on the Fused path or the Hardware dataflow.
+// runPath runs e on Run's Listing 1 dataflow (hardware) or on the Fused
+// path: RunChunk over every work-item into a RunResult laid out as Run
+// lays out its own.
+func runPath(e *Engine, hardware bool) (*RunResult, error) {
+	if hardware {
+		return e.Run()
+	}
+	cfg := e.Config()
+	res := &RunResult{
+		Data:         make([]float32, cfg.Scenarios*int64(cfg.Sectors)),
+		BlockOffsets: e.BlockOffsets(),
+		PerWI:        make([]WorkItemStats, cfg.WorkItems),
+		cfg:          cfg,
+	}
+	if err := e.RunChunk(nil, res.Data, 0, cfg.WorkItems, res.PerWI); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// runMode builds cfg's engine and runs it through runPath.
 func runMode(t *testing.T, cfg Config, hardware bool) *RunResult {
 	t.Helper()
-	cfg.Hardware = hardware
 	e, err := NewEngine(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Run()
+	res, err := runPath(e, hardware)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,10 +57,10 @@ func runMode(t *testing.T, cfg Config, hardware bool) *RunResult {
 }
 
 // TestFusedRunEquivalence is the engine's one execution-path invariant:
-// the Fused path (block compute — bulk Mersenne-Twister fills and
-// batched normal/gamma kernels — writing candidate blocks straight into
-// the device buffer through the RunChunk machinery) produces output
-// bitwise-identical to the Hardware path (Listing 1's dataflow: gated
+// the Fused path (RunChunk's block compute — bulk Mersenne-Twister fills
+// and batched normal/gamma kernels — writing candidate blocks straight
+// into the device buffer) produces output bitwise-identical to Run
+// (Listing 1's dataflow: gated
 // one-word compute every pipeline iteration, one GammaRNG and one
 // Transfer process per work-item joined by an hls::stream moving
 // 512-bit batches). Because the two differ on both the compute and the

@@ -25,20 +25,11 @@ func TestTelemetryDoesNotPerturbRNG(t *testing.T) {
 	run := func(rec *telemetry.Recorder, hardware bool) *RunResult {
 		cfg := base
 		cfg.Telemetry = rec
-		cfg.Hardware = hardware
-		eng, err := NewEngine(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := eng.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
+		return runMode(t, cfg, hardware)
 	}
 
-	// Both execution paths must be telemetry-transparent: the Hardware
-	// path's gated compute because any hook drawing a word would shift
+	// Both execution paths must be telemetry-transparent: Run's gated
+	// compute because any hook drawing a word would shift
 	// the stream, the Fused path's block compute additionally because
 	// its per-chunk counter bookkeeping reads the generator's counters
 	// mid-sector.
@@ -67,9 +58,6 @@ func TestTelemetryCountersPopulated(t *testing.T) {
 		Transform: normal.MarsagliaBray, MTParams: mt.MT19937Params,
 		WorkItems: 2, Scenarios: 1000, Sectors: 1,
 		SectorVariance: 1.39, Seed: 5, Telemetry: rec,
-		// membus.bursts is a Transfer-engine counter; run the
-		// Hardware dataflow to populate it.
-		Hardware: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -113,23 +101,16 @@ func TestTelemetryCountersPopulated(t *testing.T) {
 // publishes its bulk-fill accounting: the number of CycleBlock batches
 // and the total Mersenne-Twister words those batches consumed. The word
 // count must cover at least the always-enabled MT0 draws of every bulk
-// cycle, and the counters must vanish on the Hardware path, whose
-// compute is the gated one-word loop.
+// cycle, and the counters must vanish on Run's dataflow, whose compute
+// is the gated one-word loop.
 func TestTelemetryBlockCounters(t *testing.T) {
 	run := func(hardware bool) map[string]*telemetry.Counter {
 		rec := telemetry.New(1 << 12)
-		eng, err := NewEngine(Config{
+		runMode(t, Config{
 			Transform: normal.MarsagliaBray, MTParams: mt.MT19937Params,
 			WorkItems: 2, Scenarios: 4000, Sectors: 2,
 			SectorVariance: 1.39, Seed: 5, Telemetry: rec,
-			Hardware: hardware,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := eng.Run(); err != nil {
-			t.Fatal(err)
-		}
+		}, hardware)
 		byName := map[string]*telemetry.Counter{}
 		for _, c := range rec.Counters() {
 			byName[c.Name()] = c

@@ -20,18 +20,6 @@ func (g *Generator) JumpStreams(n uint64) {
 	g.mt2.Jump(n)
 }
 
-// AdvanceStreams is the sequential O(n) equivalent of JumpStreams, kept
-// as the reference oracle the jump is checked against
-// (TestJumpStreamsMatchesAdvanceStreams).
-func (g *Generator) AdvanceStreams(n uint64) {
-	for i := uint64(0); i < n; i++ {
-		g.mt0a.Advance()
-		g.mt0b.Advance()
-		g.mt1.Advance()
-		g.mt2.Advance()
-	}
-}
-
 // DecorrelateStreams attaches ThundeRiNG-style per-position output
 // scramblers to the four twister streams, with per-stream keys derived
 // from key by SplitMix64 separation (key 0 detaches all four). Reseed

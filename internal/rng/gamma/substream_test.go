@@ -41,6 +41,17 @@ func TestJumpStreamsMatchesAdvanceStreams(t *testing.T) {
 	}
 }
 
+// AdvanceStreams is the sequential O(n) equivalent of JumpStreams, the
+// reference oracle the jump is checked against.
+func (g *Generator) AdvanceStreams(n uint64) {
+	for i := uint64(0); i < n; i++ {
+		g.mt0a.Advance()
+		g.mt0b.Advance()
+		g.mt1.Advance()
+		g.mt2.Advance()
+	}
+}
+
 // TestReseedDetachesSubstreamState: pooled generators are recycled via
 // Reseed; any jump offset or decorrelation key from a previous run must
 // vanish, restoring NewGenerator-equivalence.

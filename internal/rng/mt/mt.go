@@ -81,7 +81,7 @@ var MT521Params = Params{
 }
 
 // Core is a one-word-at-a-time Mersenne-Twister engine. It implements
-// rng.Source32, rng.Peeker32 and rng.Seeder. The zero value is not usable;
+// rng.Source32 and rng.Peeker32. The zero value is not usable;
 // construct with New or the MT19937/MT521 helpers.
 type Core struct {
 	p          Params

@@ -1,44 +1,13 @@
 package rng
 
-// substream.go — the stream seek / substream contract layered on top of
-// Source32. Generators whose transition is F2-linear (the Mersenne-
-// Twister cores in rng/mt) can fast-forward in O(log n), which turns a
-// single seeded recurrence into an addressable family of substreams:
-// a (seed, offset) pair is a complete O(1)-sized checkpoint, and widely
-// spaced offsets carve one period into independent lanes. The package
-// keeps only interfaces and seed/key derivation here so it stays free of
-// a dependency on any concrete generator.
-
-// Jumper is implemented by sources that can advance their stream by n
-// words in better than O(n) — the "O(log n) stream seek" of the roadmap.
-// Jump(n) must be exactly equivalent to consuming n words.
-type Jumper interface {
-	Jump(n uint64)
-}
-
-// OffsetTracker is implemented by sources that count words consumed
-// since their last (re)seed. Offset is the resume cursor of a
-// checkpoint: restoring is Seed(seed) followed by Jump(offset).
-type OffsetTracker interface {
-	Offset() uint64
-}
-
-// Decorrelator is implemented by sources that can attach a keyed,
-// position-addressed output scrambler (ThundeRiNG-style): key 0 detaches
-// it, distinct keys yield decorrelated output streams over the same
-// state walk.
-type Decorrelator interface {
-	Decorrelate(key uint64)
-}
-
-// SeekableSource32 is the full substream contract: a seedable source
-// that supports logarithmic seek and position tracking.
-type SeekableSource32 interface {
-	Source32
-	Seeder
-	Jumper
-	OffsetTracker
-}
+// substream.go — the substream layout over seekable generators.
+// Generators whose transition is F2-linear (the Mersenne-Twister cores in
+// rng/mt) can fast-forward in O(log n), which turns a single seeded
+// recurrence into an addressable family of substreams: a (seed, offset)
+// pair is a complete O(1)-sized checkpoint, and widely spaced offsets
+// carve one period into independent lanes. The package keeps only the
+// lane spacing and key derivation here so it stays free of a dependency
+// on any concrete generator.
 
 // SubstreamStride is the default spacing between sibling substreams of
 // one seed: 2^44 words. A work-item that consumes a word per clock at
@@ -46,35 +15,6 @@ type SeekableSource32 interface {
 // at this spacing never overlap in practice while staying far below the
 // 2^521−1 period of even the small Table-I twister.
 const SubstreamStride uint64 = 1 << 44
-
-// Checkpoint is the O(1) serializable position of a seekable stream.
-type Checkpoint struct {
-	Seed   uint64
-	Offset uint64
-}
-
-// CheckpointOf captures the resume point of a stream whose seed is
-// known to the caller (the engine derives per-work-item seeds with
-// StreamSeeds and owns them; generators do not retain their seed).
-func CheckpointOf(seed uint64, src OffsetTracker) Checkpoint {
-	return Checkpoint{Seed: seed, Offset: src.Offset()}
-}
-
-// Restore seeds dst and seeks it to the checkpoint position in O(log
-// offset). The restored stream continues bitwise where the checkpointed
-// one left off.
-func Restore(dst SeekableSource32, cp Checkpoint) {
-	dst.Seed(cp.Seed)
-	dst.Jump(cp.Offset)
-}
-
-// SplitAt seeks src to the start of the substream beginning at offset:
-// sugar over Jump that documents intent at call sites carving a stream
-// into lanes. Calling it on a freshly seeded source positions it exactly
-// offset words into the stream.
-func SplitAt(src Jumper, offset uint64) {
-	src.Jump(offset)
-}
 
 // SubstreamSeek returns the stream offset of substream part under the
 // default stride layout.

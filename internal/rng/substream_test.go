@@ -8,50 +8,6 @@ import (
 	"github.com/decwi/decwi/internal/stats"
 )
 
-// The Mersenne-Twister core must satisfy the full substream contract.
-var (
-	_ rng.SeekableSource32 = (*mt.Core)(nil)
-	_ rng.Decorrelator     = (*mt.Core)(nil)
-)
-
-func TestCheckpointRestoreRoundTrip(t *testing.T) {
-	const seed = 0xC0FFEE
-	src := mt.NewMT19937(seed)
-	for i := 0; i < 1_000_000; i++ {
-		src.Uint32()
-	}
-	cp := rng.CheckpointOf(seed, src)
-	if cp.Offset != 1_000_000 {
-		t.Fatalf("checkpoint offset = %d", cp.Offset)
-	}
-	resumed := mt.NewMT19937(1) // wrong seed on purpose; Restore must fix it
-	rng.Restore(resumed, cp)
-	for i := 0; i < 512; i++ {
-		if a, b := src.Uint32(), resumed.Uint32(); a != b {
-			t.Fatalf("restored stream diverges at word %d: %#x != %#x", i, a, b)
-		}
-	}
-}
-
-func TestSplitAtCarvesDisjointLanes(t *testing.T) {
-	// Two lanes of the same seed at adjacent substream offsets must each
-	// reproduce the corresponding slice of the sequential stream.
-	const seed, laneLen = 99, 300
-	seq := mt.NewMT521(seed)
-	if rng.SubstreamSeek(1) != rng.SubstreamStride {
-		t.Fatalf("SubstreamSeek(1) = %d", rng.SubstreamSeek(1))
-	}
-	lane := mt.NewMT521(seed)
-	rng.SplitAt(lane, rng.SubstreamStride)
-	seqJump := seq.Clone()
-	seqJump.Jump(rng.SubstreamStride)
-	for i := 0; i < laneLen; i++ {
-		if a, b := lane.Uint32(), seqJump.Uint32(); a != b {
-			t.Fatalf("lane word %d = %#x, sequential stream word = %#x", i, a, b)
-		}
-	}
-}
-
 func TestSubstreamKeyDerivation(t *testing.T) {
 	seen := map[uint64]int{}
 	for part := 0; part < 64; part++ {

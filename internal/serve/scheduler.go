@@ -71,9 +71,6 @@ type Config struct {
 	// (default CacheBytes/4). A tenant over its share evicts its own
 	// oldest entries first, so one tenant cannot flush the others.
 	CacheTenantBytes int64
-	// SingleflightOff disables coalescing of concurrent identical
-	// submissions onto one shared engine run (on by default).
-	SingleflightOff bool
 	// FastPathValues, when > 0, lets a submission whose
 	// Scenarios·Sectors is at or under it run inline on the submitting
 	// goroutine when the queue is empty and an executor slot is idle —
@@ -179,7 +176,8 @@ type execMeta struct {
 
 // Job is one submitted job record: spec, lifecycle state, and (once
 // done) the result payload. All mutable state is guarded by mu; done is
-// closed exactly once, on the transition to a terminal state.
+// closed exactly once, by onTerminal after the transition to a terminal
+// state has been booked.
 //
 // Execution belongs to the job's flight, not the job: every admitted
 // job is attached to exactly one flight (cache-hit jobs, born
@@ -360,7 +358,6 @@ func (j *Job) Cancel() bool {
 	} else {
 		j.errMsg = "cancelled"
 	}
-	close(j.done)
 	j.mu.Unlock()
 	j.s.onTerminal(j, StateCancelled)
 	return true
@@ -635,7 +632,6 @@ func (s *Scheduler) SubmitTraced(spec JobSpec, traceparent string) (*Job, error)
 			job.res = res
 			job.meta = meta
 			job.attachTrace(tr, root, "cache-hit")
-			close(job.done)
 			s.jobs[job.ID] = job
 			s.mu.Unlock()
 			s.cHits.Add(1)
@@ -651,37 +647,35 @@ func (s *Scheduler) SubmitTraced(spec JobSpec, traceparent string) (*Job, error)
 	}
 
 	// Lane 2: singleflight — attach to an identical in-flight tuple.
-	if !s.cfg.SingleflightOff {
-		if f := s.flights[key]; f != nil {
-			dspan := tr.Begin("dedup", root)
-			job := s.newJobLocked(spec, now)
-			job.flight = f
-			job.coalesced = true
-			job.attachTrace(tr, root, "coalesced")
-			job.waitSpan = tr.Begin("shared-run-wait", root)
-			if f.attach(job, now) {
-				tr.EndDetail(dspan, "coalesced onto "+f.leaderID, 0)
-				s.jobs[job.ID] = job
-				s.mu.Unlock()
-				s.cCoalesced.Add(1)
-				s.tenantCounter("serve.jobs-admitted", spec.Tenant, admittedDesc).Add(1)
-				return job, nil
-			}
-			// The flight completed or was abandoned between the index
-			// lookup and the attach; fall through and lead a fresh one
-			// with the job we already minted.
-			tr.EndDetail(dspan, "flight gone, leading fresh", 0)
-			tr.End(job.waitSpan)
-			job.waitSpan = 0
-			job.flight = nil
-			job.coalesced = false
-			if err := s.admitLeaderLocked(job, key, now); err != nil {
-				return nil, err
-			}
+	if f := s.flights[key]; f != nil {
+		dspan := tr.Begin("dedup", root)
+		job := s.newJobLocked(spec, now)
+		job.flight = f
+		job.coalesced = true
+		job.attachTrace(tr, root, "coalesced")
+		job.waitSpan = tr.Begin("shared-run-wait", root)
+		if f.attach(job, now) {
+			tr.EndDetail(dspan, "coalesced onto "+f.leaderID, 0)
+			s.jobs[job.ID] = job
+			s.mu.Unlock()
+			s.cCoalesced.Add(1)
+			s.tenantCounter("serve.jobs-admitted", spec.Tenant, admittedDesc).Add(1)
 			return job, nil
 		}
-		tr.Event("dedup", root, "leader")
+		// The flight completed or was abandoned between the index
+		// lookup and the attach; fall through and lead a fresh one
+		// with the job we already minted.
+		tr.EndDetail(dspan, "flight gone, leading fresh", 0)
+		tr.End(job.waitSpan)
+		job.waitSpan = 0
+		job.flight = nil
+		job.coalesced = false
+		if err := s.admitLeaderLocked(job, key, now); err != nil {
+			return nil, err
+		}
+		return job, nil
 	}
+	tr.Event("dedup", root, "leader")
 
 	job := s.newJobLocked(spec, now)
 	job.attachTrace(tr, root, "")
@@ -730,9 +724,7 @@ func (s *Scheduler) admitLeaderLocked(job *Job, key string, now time.Time) error
 	tr.EndDetail(qspan, "allowed", 0)
 	f := newFlight(key, job.Spec, job)
 	job.flight = f
-	if !s.cfg.SingleflightOff {
-		s.flights[key] = f
-	}
+	s.flights[key] = f
 	s.jobs[job.ID] = job
 
 	espan := tr.Begin("enqueue", root)
@@ -969,7 +961,6 @@ func (s *Scheduler) completeJob(j *Job, f *flight, runStart, finished time.Time,
 		j.errMsg = err.Error()
 	}
 	state := j.state
-	close(j.done)
 	j.mu.Unlock()
 	if j.coalesced {
 		// A waiter's timeline shows the shared run with the leader's
@@ -1003,11 +994,13 @@ func (s *Scheduler) cachePut(key, tenant string, res *result, meta *execMeta) {
 	s.gCacheEnts.Set(int64(s.cache.len()))
 }
 
-// onTerminal records the lifecycle counter, settles the job's SLO
-// accounting and trace, emits the structured terminal log line, and
-// applies the retention cap to the registry. It runs exactly once per
-// job: every terminal transition (cache hit, cancel, flight fan-out)
-// funnels through it.
+// onTerminal records the lifecycle counter and the job's SLO outcome,
+// then closes the job's done channel, then seals its trace, emits the
+// structured terminal log line and applies the retention cap to the
+// registry. It runs exactly once per job: every terminal transition
+// (cache hit, cancel, flight fan-out) sets the terminal state and then
+// funnels through it. Booking before the close means a caller woken by
+// Done() always reads counters and SLOStatus() that include this job.
 func (s *Scheduler) onTerminal(job *Job, state JobState) {
 	switch state {
 	case StateDone:
@@ -1041,6 +1034,7 @@ func (s *Scheduler) onTerminal(job *Job, state JobState) {
 			s.cSLOGood.Add(1)
 		}
 	}
+	close(job.done)
 
 	s.finishTrace(job.trace, string(state), errMsg)
 

@@ -14,10 +14,10 @@ import (
 const maxIntraItemSubstreams = 1024
 
 // This file is the single place the facade's option defaulting lives.
-// Generate, GenerateParallel and Session.EnqueueGamma all normalize
-// through the same helpers, so the entry points cannot drift apart —
-// the determinism contract (identical bytes from identical options)
-// only holds if they agree on every clamp and default.
+// Generate, GenerateParallel and Session.EnqueueGamma all run through
+// newGenerateJob and so through these helpers; the determinism contract
+// (identical bytes from identical options) only holds if every entry
+// point agrees on every clamp and default.
 
 // normalizeGenerate validates opt against kernel k and fills the
 // documented defaults: Variance 1.39 when neither variance field is
@@ -42,8 +42,9 @@ func normalizeGenerate(k perf.KernelConfig, opt GenerateOptions) (GenerateOption
 }
 
 // engineConfig maps normalized facade options onto the engine
-// configuration. Every field the facade exposes is forwarded here and
-// nowhere else.
+// configuration. Every workload field the facade exposes is forwarded
+// here and nowhere else; Hardware is not a workload field but the
+// choice between Engine.Run and Engine.RunChunk (generateJob.run).
 func engineConfig(k perf.KernelConfig, opt GenerateOptions) core.Config {
 	return core.Config{
 		Transform:       k.Transform,
@@ -56,7 +57,6 @@ func engineConfig(k perf.KernelConfig, opt GenerateOptions) core.Config {
 		BurstRNs:        opt.BurstRNs,
 		Seed:            opt.Seed,
 		StreamOffset:    opt.StreamOffset,
-		Hardware:        opt.Hardware,
 		BreakID:         opt.BreakID,
 		Telemetry:       opt.Telemetry,
 	}
@@ -92,12 +92,10 @@ func normalizeParallel(k perf.KernelConfig, opt ParallelOptions) (ParallelOption
 		return opt, 0, err
 	}
 	opt.GenerateOptions = g
-	if opt.Hardware {
-		return opt, 0, fmt.Errorf("decwi: Hardware is a monolithic dataflow run; use Generate (GenerateParallel always executes the Fused path)")
-	}
 	if opt.WorkItems < 1 {
 		return opt, 0, fmt.Errorf("decwi: work-items %d must be ≥ 1", opt.WorkItems)
 	}
+	var chunks int
 	if opt.IntraItemSubstreams > 1 {
 		// The substream lane path deliberately rejects every option whose
 		// semantics are defined per whole work-item instead of silently
@@ -110,33 +108,30 @@ func normalizeParallel(k perf.KernelConfig, opt ParallelOptions) (ParallelOption
 		case opt.Shards != 0 || opt.ChunkWorkItems != 0:
 			return opt, 0, fmt.Errorf("decwi: substreams fix the scheduling unit to (work-item, lane); Shards/ChunkWorkItems must stay 0")
 		}
-		chunks := opt.WorkItems * opt.IntraItemSubstreams
-		if opt.Workers == 0 {
-			opt.Workers = runtime.GOMAXPROCS(0)
+		chunks = opt.WorkItems * opt.IntraItemSubstreams
+	} else {
+		if opt.Shards == 0 {
+			opt.Shards = runtime.GOMAXPROCS(0)
 		}
-		if opt.Workers > chunks {
-			opt.Workers = chunks
+		if opt.Shards > opt.WorkItems {
+			opt.Shards = opt.WorkItems
 		}
-		return opt, chunks, nil
+		if opt.ChunkWorkItems == 0 {
+			opt.ChunkWorkItems = (opt.WorkItems + opt.Shards - 1) / opt.Shards
+		}
+		if opt.ChunkWorkItems > opt.WorkItems {
+			opt.ChunkWorkItems = opt.WorkItems
+		}
+		chunks = (opt.WorkItems + opt.ChunkWorkItems - 1) / opt.ChunkWorkItems
 	}
-	if opt.Shards == 0 {
-		opt.Shards = runtime.GOMAXPROCS(0)
-	}
-	if opt.Shards > opt.WorkItems {
-		opt.Shards = opt.WorkItems
-	}
-	if opt.ChunkWorkItems == 0 {
-		opt.ChunkWorkItems = (opt.WorkItems + opt.Shards - 1) / opt.Shards
-	}
-	if opt.ChunkWorkItems > opt.WorkItems {
-		opt.ChunkWorkItems = opt.WorkItems
-	}
-	chunks := (opt.WorkItems + opt.ChunkWorkItems - 1) / opt.ChunkWorkItems
 	if opt.Workers == 0 {
 		opt.Workers = runtime.GOMAXPROCS(0)
 	}
 	if opt.Workers > chunks {
 		opt.Workers = chunks
+	}
+	if opt.Hardware && chunks > 1 {
+		return opt, 0, fmt.Errorf("decwi: Hardware runs Listing 1's dataflow over all work-items as one unit; the run resolved to %d chunks (use Generate, or Shards 1 without substreams)", chunks)
 	}
 	return opt, chunks, nil
 }

@@ -135,13 +135,28 @@ func TestNormalizeParallel(t *testing.T) {
 			wantErr: true,
 		},
 		{
-			// The Hardware dataflow is one monolithic run; chunked
-			// execution is always the Fused path.
+			// The Hardware dataflow runs every work-item as one unit;
+			// more than one chunk would need the Fused path.
 			name: "hardware rejected",
 			in: ParallelOptions{GenerateOptions: GenerateOptions{
 				Scenarios: 100, Sectors: 1, Hardware: true,
-			}},
+			}, Shards: 2, Workers: 1},
 			wantErr: true,
+		},
+		{
+			name: "hardware rejected with substreams",
+			in: ParallelOptions{GenerateOptions: GenerateOptions{
+				Scenarios: 100, Sectors: 1, Hardware: true,
+			}, Workers: 1, IntraItemSubstreams: 2},
+			wantErr: true,
+		},
+		{
+			// Generate's schedule: one chunk on one worker.
+			name: "hardware accepted as one unit",
+			in: ParallelOptions{GenerateOptions: GenerateOptions{
+				Scenarios: 100, Sectors: 1, Hardware: true,
+			}, Shards: 1, Workers: 1},
+			wantShards: 1, wantChunk: 6, wantN: 1, wantWork: 1,
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -176,14 +191,15 @@ func TestNormalizeParallel(t *testing.T) {
 }
 
 // TestEngineConfigForwardsEveryKnob: engineConfig must forward each
-// facade field (including the PR-added BreakID and Telemetry) so
-// Generate, GenerateParallel and Session run the same engine.
+// facade workload field (including BreakID and Telemetry) so Generate,
+// GenerateParallel and Session run the same engine. Hardware is not
+// forwarded: it selects Engine.Run over Engine.RunChunk.
 func TestEngineConfigForwardsEveryKnob(t *testing.T) {
 	k := perf.Config2
 	opt := GenerateOptions{
 		Scenarios: 7, Sectors: 3, Variance: 2.2, Variances: []float64{1, 2, 3},
 		WorkItems: 5, BurstRNs: 128, Seed: 77,
-		StreamOffset: 99, Hardware: true, BreakID: 4,
+		StreamOffset: 99, BreakID: 4,
 	}
 	cfg := engineConfig(k, opt)
 	if cfg.Transform != k.Transform || cfg.MTParams != k.MTParams {
@@ -192,7 +208,7 @@ func TestEngineConfigForwardsEveryKnob(t *testing.T) {
 	if cfg.WorkItems != 5 || cfg.Scenarios != 7 || cfg.Sectors != 3 ||
 		cfg.SectorVariance != 2.2 || len(cfg.SectorVariances) != 3 ||
 		cfg.BurstRNs != 128 || cfg.Seed != 77 ||
-		cfg.StreamOffset != 99 || !cfg.Hardware || cfg.BreakID != 4 {
+		cfg.StreamOffset != 99 || cfg.BreakID != 4 {
 		t.Fatalf("engine config dropped a knob: %+v", cfg)
 	}
 }

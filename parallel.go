@@ -9,6 +9,8 @@ import (
 	"time"
 
 	"github.com/decwi/decwi/internal/core"
+	"github.com/decwi/decwi/internal/fpga"
+	"github.com/decwi/decwi/internal/perf"
 	"github.com/decwi/decwi/internal/telemetry"
 	"github.com/decwi/decwi/internal/telemetry/flight"
 )
@@ -18,10 +20,10 @@ import (
 // every (Shards, Workers, ChunkWorkItems) choice yields output bitwise-
 // identical to Generate with the same GenerateOptions.
 //
-// Chunk execution is always the Fused path (candidate blocks written
-// directly at their device-layout offsets). The embedded Hardware mode
-// is a monolithic dataflow run, so GenerateParallel rejects it; the
-// bytes are the same either way, and Generate runs it.
+// Chunk execution is the Fused path (candidate blocks written directly
+// at their device-layout offsets). The embedded Hardware mode is one
+// dataflow over every work-item, so it is accepted only when the run is
+// one chunk on one worker; the bytes are the same either way.
 type ParallelOptions struct {
 	GenerateOptions
 	// Shards is the target chunk count the work-item axis is split
@@ -59,49 +61,6 @@ type ParallelOptions struct {
 	TraceSpan flight.SpanID
 }
 
-// ParallelResult carries the generated data and scheduler metadata.
-type ParallelResult struct {
-	// Values holds Scenarios·Sectors gamma variates in the engine's
-	// device layout — byte-for-byte the same slice content Generate
-	// produces for the same GenerateOptions.
-	Values []float32
-	// BlockOffsets has WorkItems+1 entries framing each work-item's
-	// contiguous block of Values (sector-major inside the block).
-	BlockOffsets []int64
-	// WorkItems is the number of decoupled pipelines generated.
-	WorkItems int
-	// Chunks is the number of work-item chunks the run was split into.
-	Chunks int
-	// Workers is the number of scheduler workers actually used.
-	Workers int
-	// Steals counts chunks executed by a worker other than their
-	// static round-robin owner — the work the dynamic cursor moved to
-	// absorb rejection-sampling imbalance.
-	Steals int
-	// ChunkImbalance is the max/min chunk wall-time ratio (1 when
-	// fewer than two chunks ran). Static sharding would stall its
-	// fastest worker for (ChunkImbalance-1)/ChunkImbalance of the
-	// slowest chunk's time; work stealing does not.
-	ChunkImbalance float64
-	// RejectionRate is the observed combined rate (Eq. (1)'s r),
-	// identical to the sequential run's.
-	RejectionRate float64
-
-	sectors int
-}
-
-// Sector returns every value of one sector across work-items — the
-// same per-sector marginal GenerateResult.Sector yields.
-func (r *ParallelResult) Sector(k int) []float32 {
-	out := make([]float32, 0, r.BlockOffsets[r.WorkItems]/int64(r.sectors))
-	for w := 0; w < r.WorkItems; w++ {
-		limitMain := (r.BlockOffsets[w+1] - r.BlockOffsets[w]) / int64(r.sectors)
-		start := r.BlockOffsets[w] + int64(k)*limitMain
-		out = append(out, r.Values[start:start+limitMain]...)
-	}
-	return out
-}
-
 // parallelChunkFault, when non-nil, injects a failure before the given
 // chunk executes. Test hook for the cancellation path: rejection
 // sampling has no practical way to make a mid-run chunk fail naturally.
@@ -124,7 +83,7 @@ var parallelChunkFault func(chunk int) error
 // motivation for decoupling), so workers claim the next unclaimed
 // chunk as they finish rather than owning a static share. The first
 // chunk error cancels all outstanding work.
-func GenerateParallel(c ConfigID, opt ParallelOptions) (*ParallelResult, error) {
+func GenerateParallel(c ConfigID, opt ParallelOptions) (*GenerateResult, error) {
 	return GenerateParallelContext(context.Background(), c, opt)
 }
 
@@ -134,7 +93,26 @@ func GenerateParallel(c ConfigID, opt ParallelOptions) (*ParallelResult, error) 
 // boundary and returns the cause instead of a result. A run that
 // completes is unaffected by how it was bounded — the bytes depend only
 // on the GenerateOptions, never on the context.
-func GenerateParallelContext(parent context.Context, c ConfigID, opt ParallelOptions) (*ParallelResult, error) {
+func GenerateParallelContext(ctx context.Context, c ConfigID, opt ParallelOptions) (*GenerateResult, error) {
+	j, err := newGenerateJob(c, opt)
+	if err != nil {
+		return nil, err
+	}
+	return j.run(ctx)
+}
+
+// generateJob is one normalized generate request bound to its engine.
+// Every facade entry point (Generate, GenerateParallel and the kernel
+// closure of Session.EnqueueGamma) runs through it.
+type generateJob struct {
+	k      perf.KernelConfig
+	opt    ParallelOptions
+	chunks int
+	eng    *core.Engine
+}
+
+// newGenerateJob validates and normalizes opt and builds the engine.
+func newGenerateJob(c ConfigID, opt ParallelOptions) (*generateJob, error) {
 	k, err := c.kernel()
 	if err != nil {
 		return nil, err
@@ -143,11 +121,55 @@ func GenerateParallelContext(parent context.Context, c ConfigID, opt ParallelOpt
 	if err != nil {
 		return nil, err
 	}
-
 	eng, err := core.NewEngine(engineConfig(k, opt.GenerateOptions))
 	if err != nil {
 		return nil, err
 	}
+	return &generateJob{k: k, opt: opt, chunks: chunks, eng: eng}, nil
+}
+
+// run executes the job — Listing 1's dataflow when Hardware is set
+// (normalizeParallel admits it only as one chunk on one worker), the
+// work-stealing scheduler over Fused chunks otherwise — and attaches
+// the modelled FPGA timing at the observed rejection rate.
+func (j *generateJob) run(ctx context.Context) (*GenerateResult, error) {
+	var res *GenerateResult
+	if j.opt.Hardware {
+		// The dataflow has no cancellation points; ctx bounds only the
+		// scheduler.
+		run, err := j.eng.Run()
+		if err != nil {
+			return nil, err
+		}
+		res = &GenerateResult{Values: run.Data, BlockOffsets: run.BlockOffsets,
+			RejectionRate: core.CombineStats(run.PerWI), Chunks: 1, Workers: 1, ChunkImbalance: 1}
+	} else {
+		var err error
+		if res, err = j.schedule(ctx); err != nil {
+			return nil, err
+		}
+	}
+	res.WorkItems = j.opt.WorkItems
+	res.sectors = j.opt.Sectors
+	t, err := j.fpgaTiming(res.RejectionRate)
+	if err != nil {
+		return nil, err
+	}
+	res.FPGATime = t.Runtime
+	res.TransferBound = !t.ComputeBound
+	return res, nil
+}
+
+// fpgaTiming models the job's kernel on the paper's board at rejection
+// rate r.
+func (j *generateJob) fpgaTiming(r float64) (fpga.KernelTiming, error) {
+	w := fpga.Workload{NumScenarios: j.opt.Scenarios, NumSectors: int64(j.opt.Sectors), BytesPerValue: 4}
+	return fpga.DefaultDevice().KernelRuntime(w, j.opt.WorkItems, r, j.eng.Config().BurstRNs)
+}
+
+// schedule is the work-stealing scheduler over the job's chunks.
+func (j *generateJob) schedule(parent context.Context) (*GenerateResult, error) {
+	opt, chunks, eng := j.opt, j.chunks, j.eng
 	wi := opt.WorkItems
 	chunkWI := opt.ChunkWorkItems
 	subs := opt.IntraItemSubstreams
@@ -229,7 +251,10 @@ func GenerateParallelContext(parent context.Context, c ConfigID, opt ParallelOpt
 				gActive.Add(1)
 				tsStart := track.Now()
 				start := time.Now()
-				err := parallelChunkFaultErr(chunk)
+				var err error
+				if parallelChunkFault != nil {
+					err = parallelChunkFault(chunk)
+				}
 				if err == nil {
 					if subs > 1 {
 						err = eng.RunItemPart(ctx, values, wid, part, subs, &unitStats[chunk])
@@ -310,25 +335,15 @@ func GenerateParallelContext(parent context.Context, c ConfigID, opt ParallelOpt
 	if subs > 1 {
 		rateStats = unitStats
 	}
-	return &ParallelResult{
+	return &GenerateResult{
 		Values:         values,
 		BlockOffsets:   offsets,
-		WorkItems:      wi,
+		RejectionRate:  core.CombineStats(rateStats),
 		Chunks:         chunks,
 		Workers:        opt.Workers,
 		Steals:         int(steals.Load()),
 		ChunkImbalance: imbalance,
-		RejectionRate:  core.CombineStats(rateStats),
-		sectors:        opt.Sectors,
 	}, nil
-}
-
-// parallelChunkFaultErr consults the test hook.
-func parallelChunkFaultErr(chunk int) error {
-	if parallelChunkFault == nil {
-		return nil
-	}
-	return parallelChunkFault(chunk)
 }
 
 // chunkImbalance returns the max/min chunk wall-time ratio, the

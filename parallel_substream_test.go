@@ -22,7 +22,7 @@ func TestGenerateParallelSubstreams(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := ParallelOptions{GenerateOptions: opt, IntraItemSubstreams: 3}
-	var first *ParallelResult
+	var first *GenerateResult
 	for _, workers := range []int{1, 2, 4} {
 		o := base
 		o.Workers = workers

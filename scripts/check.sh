@@ -21,26 +21,27 @@ go test -race ./...
 echo "== bounds-check elimination in marked kernel regions"
 sh scripts/bce_check.sh
 
-# Fused-vs-Hardware equivalence under the race detector: the Fused
-# path's block compute shares sync.Pool scratch across work-item
-# goroutines and the Hardware dataflow runs its GammaRNG/Transfer
-# processes concurrently, so the one bitwise-equivalence proof between
-# them (plus the kernel-level block-vs-gated oracles) must also hold
-# with full synchronization checking (already part of the tree-wide
-# -race run above, but named here so a narrowed test filter can never
-# drop it).
-echo "== Fused-vs-Hardware & block-compute equivalence under -race"
-go test -race -run 'TestFusedRunEquivalence|TestBlockCompute|TestBatchedTransport|TestCycleBlock|TestFillUint32|TestPropertyFillInterleaving' \
+# Fused-vs-dataflow equivalence under the race detector: the Fused
+# path (Engine.RunChunk) shares sync.Pool scratch across work-item
+# goroutines and Engine.Run's Listing 1 dataflow runs its
+# GammaRNG/Transfer processes concurrently, so the one
+# bitwise-equivalence proof between them (plus the kernel-level
+# block-vs-gated oracles, and the check that Run really issues bursts
+# through its streams) must also hold with full synchronization checking
+# (already part of the tree-wide -race run above, but named here so a
+# narrowed test filter can never drop it).
+echo "== Fused-vs-dataflow & block-compute equivalence under -race"
+go test -race -run 'TestFusedRunEquivalence|TestRunIsListing1Dataflow|TestBlockCompute|TestBatchedTransport|TestCycleBlock|TestFillUint32|TestPropertyFillInterleaving' \
     ./internal/core ./internal/rng/gamma ./internal/rng/mt
 
 # Fused-path, gamma→loss pipe and golden-corpus checks under the race
 # detector: the Fused path writes candidate blocks straight into the
 # shared device buffer, and the gamma→loss pipe batches the creditrisk
-# sector draws, so their bitwise proofs (Hardware vs Fused Run, gated vs
-# piped draws, lane block phase vs gated walk) and the absolute golden
-# digests (every generate entry point, SimulateMC losses, the serve
-# X-Decwi-Sha256 header) must also hold with full synchronization
-# checking.
+# sector draws, so their bitwise proofs (Run's dataflow vs Fused
+# RunChunk, gated vs piped draws, lane block phase vs gated walk) and the
+# absolute golden digests (every generate entry point including
+# Session.EnqueueGamma, SimulateMC losses, the serve X-Decwi-Sha256
+# header) must also hold with full synchronization checking.
 echo "== fused-pipe, gamma→loss pipe & golden corpus under -race"
 go test -race -count=1 \
     -run 'TestFused|TestPropertyFused|TestRunItemPartBlockEquivalence|TestPipe|TestConsumeBlock|TestGolden|TestServerGoldenDigest' \

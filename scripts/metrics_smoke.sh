@@ -19,7 +19,7 @@ trap cleanup EXIT
 go build -o "$METRICS_TMP/decwi-gammagen" ./cmd/decwi-gammagen
 go build -o "$METRICS_TMP/decwi-promcheck" ./cmd/decwi-promcheck
 
-"$METRICS_TMP/decwi-gammagen" -n 200000 -parallel -validate=false \
+"$METRICS_TMP/decwi-gammagen" -n 200000 -validate=false \
     -http 127.0.0.1:0 -http-linger 20s -out "$METRICS_TMP/out.f32" \
     2> "$METRICS_TMP/gammagen.log" &
 GAMMAGEN_PID=$!

@@ -1,11 +1,10 @@
 package decwi
 
 import (
+	"context"
 	"fmt"
 	"time"
 
-	"github.com/decwi/decwi/internal/core"
-	"github.com/decwi/decwi/internal/fpga"
 	"github.com/decwi/decwi/internal/opencl"
 	"github.com/decwi/decwi/internal/perf"
 	"github.com/decwi/decwi/internal/telemetry"
@@ -74,20 +73,10 @@ type KernelRun struct {
 // paper selects in Section III-E-2). Set hostCombine to use strategy 1
 // (N sub-buffer reads) instead.
 func (s *Session) EnqueueGamma(c ConfigID, opt GenerateOptions, hostCombine bool) (*KernelRun, error) {
-	k, err := c.kernel()
-	if err != nil {
-		return nil, err
-	}
-	opt, err = normalizeGenerate(k, opt)
-	if err != nil {
-		return nil, err
-	}
 	if opt.Telemetry == nil {
 		opt.Telemetry = s.tel
 	}
-	wi := opt.WorkItems
-
-	eng, err := core.NewEngine(engineConfig(k, opt))
+	j, err := newGenerateJob(c, ParallelOptions{GenerateOptions: opt, Shards: 1, Workers: 1})
 	if err != nil {
 		return nil, err
 	}
@@ -98,25 +87,24 @@ func (s *Session) EnqueueGamma(c ConfigID, opt GenerateOptions, hostCombine bool
 		return nil, err
 	}
 
-	// The kernel closure runs the decoupled work-item engine and stores
-	// into device global memory; its duration model is the fpga timing
-	// model at the engine's measured rejection rate (approximated by the
-	// transform's calibrated rate for the profiling estimate).
-	var run *core.RunResult
-	w := fpga.Workload{NumScenarios: opt.Scenarios, NumSectors: int64(opt.Sectors), BytesPerValue: 4}
+	// The kernel closure runs the decoupled work-item engine — the same
+	// generate job Generate runs — and stores into device global memory;
+	// its duration model is the fpga timing model at the transform's
+	// calibrated rejection rate (the profiling estimate is fixed before
+	// the run).
+	var res *GenerateResult
 	kernel := &opencl.Kernel{
-		Name: k.Name,
+		Name: j.k.Name,
 		Run: func(opencl.NDRange) error {
-			r, err := eng.Run()
+			r, err := j.run(context.Background())
 			if err != nil {
 				return err
 			}
-			run = r
-			return buf.WriteFloat32s(0, r.Data)
+			res = r
+			return buf.WriteFloat32s(0, r.Values)
 		},
 		Model: func(opencl.NDRange) time.Duration {
-			t, err := fpga.DefaultDevice().KernelRuntime(w, wi,
-				perf.MeasuredIters(k.Transform).RejectionRate, eng.Config().BurstRNs)
+			t, err := j.fpgaTiming(perf.MeasuredIters(j.k.Transform).RejectionRate)
 			if err != nil {
 				return 0
 			}
@@ -141,9 +129,9 @@ func (s *Session) EnqueueGamma(c ConfigID, opt GenerateOptions, hostCombine bool
 	if hostCombine {
 		// Strategy 1: N sub-buffer views, N read requests.
 		var views []*opencl.Buffer
-		for widx := 0; widx < wi; widx++ {
-			lo := run.BlockOffsets[widx] * 4
-			hi := run.BlockOffsets[widx+1] * 4
+		for widx := 0; widx < res.WorkItems; widx++ {
+			lo := res.BlockOffsets[widx] * 4
+			hi := res.BlockOffsets[widx+1] * 4
 			v, err := buf.SubBuffer(fmt.Sprintf("wi%d", widx), lo, hi-lo)
 			if err != nil {
 				return nil, err
